@@ -26,8 +26,8 @@ type propagation = {
    removes the same range from independent per-label sets — commutative;
    and (c) [entries], which sorts before returning.  Every emission path
    goes through [labels_of]/[all_labels]/[entries] (all sorted), so
-   provenance output is byte-identical across runs, backends and --jobs
-   counts.
+   provenance output is byte-identical across runs, store backends and
+   --jobs counts.
 
    The state is indexed pid-first: scan paths (hit_labels, untainting)
    touch only the probed pid's label sets, so per-event cost tracks that
@@ -45,8 +45,7 @@ type t = {
   mutable probes : int;
 }
 
-let create ?(policy = Policy.default) ?(backend = Store_backend.Functional) ()
-    =
+let create ?(policy = Policy.default) ?(backend = Store_backend.Flat) () =
   {
     policy;
     backend;
@@ -234,8 +233,9 @@ let persist t =
     ps_probes = t.probes;
   }
 
-(* Rebuild into a freshly created sidecar (same policy and backend as
-   the persisted one — the snapshot manifest carries both). *)
+(* Rebuild into a freshly created sidecar (same policy as the persisted
+   one — the snapshot manifest carries it; any backend takes the
+   canonical range lists). *)
 let restore t p =
   List.iter
     (fun ((pid, label), ranges) ->

@@ -30,8 +30,9 @@ type t
 
 val create :
   ?policy:Policy.t -> ?backend:Store_backend.backend -> unit -> t
-(** [backend] (default [Functional]) picks the per-label taint-set
-    representation; exact backends give identical label sets. *)
+(** [backend] (default [Flat], the production store) picks the
+    per-label taint-set representation; the [Functional] and [Bytemap]
+    references give identical label sets. *)
 
 val policy : t -> Policy.t
 
@@ -98,8 +99,9 @@ val persist : t -> persisted
 
 val restore : t -> persisted -> unit
 (** Rebuild persisted state into a freshly created sidecar.  The target
-    must have been created with the same policy and backend as the
-    persisted instance (the snapshot manifest records both); after
+    must have been created with the same policy as the persisted
+    instance (the snapshot manifest records it; persisted sets are
+    canonical range lists, so the backend is free); after
     [restore t p], [persist t] equals [p] up to empty-set elision. *)
 
 (** {1 Propagation hook}

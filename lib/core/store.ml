@@ -1,9 +1,8 @@
 module Range = Pift_util.Range
 
-type backend = Store_backend.backend = Functional | Flat | Hybrid | Bytemap
+type backend = Store_backend.backend = Flat | Functional | Bytemap
 
 let backend_to_string = Store_backend.backend_to_string
-let backend_of_string = Store_backend.backend_of_string
 let all_backends = Store_backend.all_backends
 
 type t = {
@@ -17,7 +16,7 @@ type t = {
   dump : unit -> (int * Range.t list) list;
 }
 
-let create ?(backend = Functional) () =
+let create ?(backend = Flat) () =
   let sets : (int, Store_backend.set) Hashtbl.t = Hashtbl.create 4 in
   (* Mutating paths may materialise a backend set for a new PID; read
      paths must not — a sink check on a never-seen PID would otherwise

@@ -1,35 +1,30 @@
-(** Pluggable taint-state backends for the tracker.
+(** Per-process taint state for the tracker.
 
     Algorithm 1 is defined over an abstract tainted-range state R; the
-    software model backs it with a per-process {!Store_backend.set}
-    (exact, unbounded — pick the representation with [backend]), while
-    the hardware model backs it with the {!Storage} range cache
-    (bounded, lossy under the drop policy).  The tracker is written once
-    against this record of operations.
+    software model backs it with one {!Store_backend.set} per process
+    (exact, unbounded), while the hardware model backs it with the
+    {!Storage} range cache (bounded, lossy under the drop policy).  The
+    tracker is written once against this record of operations.
 
-    All exact backends are semantically identical — proven equal to the
-    {!Store_bytemap} oracle by the differential property suite — so the
-    choice is purely a performance knob: verdicts, stats, and CLI output
-    are byte-for-byte the same whichever one runs. *)
+    The production store is [Flat]: a sorted interval array per
+    process.  [Functional] and [Bytemap] exist as references for the
+    differential tests and benchmarks; all three are proven equal to
+    the {!Store_bytemap} oracle, so verdicts, stats and output are
+    byte-for-byte the same whichever one runs. *)
 
 type backend = Store_backend.backend =
+  | Flat
+      (** imperative sorted interval array ({!Store_flat}) — binary
+          search lookups, in-place coalescing, no per-op allocation;
+          the production store *)
   | Functional
       (** persistent {!Range_set} map — O(log n), allocating; the
           original reference implementation *)
-  | Flat
-      (** imperative sorted interval array ({!Store_flat}) — binary
-          search lookups, in-place coalescing, no per-op allocation *)
-  | Hybrid
-      (** adaptive sparse/dense split ({!Store_hybrid}) — flat
-          intervals for sparse regions, bit-per-byte pages promoted
-          where taint runs dense, demoted again on decay; the paper's
-          range-cache model as a software backend *)
   | Bytemap
       (** one bit per byte ({!Store_bytemap}); trivially correct oracle,
-          for tests only — never exposed on the CLI *)
+          for tests only *)
 
 val backend_to_string : backend -> string
-val backend_of_string : string -> backend option
 val all_backends : backend list
 
 type t = {
@@ -56,7 +51,8 @@ type t = {
 
 val create : ?backend:backend -> unit -> t
 (** Exact per-process taint state — the software reference the paper's
-    trace-driven evaluation uses.  [backend] defaults to [Functional].
+    trace-driven evaluation uses.  [backend] defaults to [Flat]; the
+    others are test references.
 
     Read paths ([overlaps], [ranges]) are pure: querying a PID the
     store has never seen allocates nothing and leaves [range_count] /

@@ -1,22 +1,14 @@
 module Range = Pift_util.Range
 
-type backend = Functional | Flat | Hybrid | Bytemap
+type backend = Flat | Functional | Bytemap
 
 let backend_to_string = function
-  | Functional -> "functional"
   | Flat -> "flat"
-  | Hybrid -> "hybrid"
+  | Functional -> "functional"
   | Bytemap -> "bytemap"
 
-let backend_of_string = function
-  | "functional" -> Some Functional
-  | "flat" -> Some Flat
-  | "hybrid" -> Some Hybrid
-  | "bytemap" -> Some Bytemap
-  | _ -> None
-
 (* Order matters to the differential suite: the bytemap oracle is last. *)
-let all_backends = [ Functional; Flat; Hybrid; Bytemap ]
+let all_backends = [ Flat; Functional; Bytemap ]
 
 type set = {
   s_add : Range.t -> unit;
@@ -49,17 +41,6 @@ let flat () =
     s_ranges = (fun () -> Store_flat.ranges s);
   }
 
-let hybrid () =
-  let s = Store_hybrid.create () in
-  {
-    s_add = Store_hybrid.add s;
-    s_remove = Store_hybrid.remove s;
-    s_overlaps = Store_hybrid.mem_overlap s;
-    s_bytes = (fun () -> Store_hybrid.total_bytes s);
-    s_count = (fun () -> Store_hybrid.cardinal s);
-    s_ranges = (fun () -> Store_hybrid.ranges s);
-  }
-
 let bytemap () =
   let s = Store_bytemap.create () in
   {
@@ -72,7 +53,6 @@ let bytemap () =
   }
 
 let make = function
-  | Functional -> functional ()
   | Flat -> flat ()
-  | Hybrid -> hybrid ()
+  | Functional -> functional ()
   | Bytemap -> bytemap ()

@@ -1,23 +1,21 @@
-(** Single-set taint-store backends, beneath both {!Store} (per-process
-    software state) and {!Storage} (the range cache's secondary store).
+(** Single-set taint stores, beneath {!Store} (per-process software
+    state), {!Provenance} (per-label sets) and the full-DIFT baseline.
 
     One [set] is one process's tainted-range state in the canonical
     closed-range form: maximal, pairwise disjoint, non-adjacent ranges.
-    All backends are semantically identical — the differential property
-    suite ([test/test_store.ml]) proves the fast ones equal to the
-    [Bytemap] oracle — so swapping backends can never change a verdict,
-    a stat, or a byte of CLI output. *)
+    [Flat] is the production store; [Functional] and [Bytemap] are
+    reference implementations for tests and benchmarks.  All three are
+    semantically identical — the differential property suite
+    ([test/test_store.ml]) proves [Flat] and [Functional] equal to the
+    [Bytemap] oracle — so a reference can never change a verdict, a
+    stat, or a byte of output. *)
 
 type backend =
-  | Functional  (** persistent {!Range_set} — the original reference *)
   | Flat  (** sorted interval array, imperative ({!Store_flat}) *)
-  | Hybrid
-      (** sparse flat intervals + promoted dense bit-pages
-          ({!Store_hybrid}) *)
+  | Functional  (** persistent {!Range_set} — the original reference *)
   | Bytemap  (** one bit per byte; testing oracle ({!Store_bytemap}) *)
 
 val backend_to_string : backend -> string
-val backend_of_string : string -> backend option
 val all_backends : backend list
 
 type set = {

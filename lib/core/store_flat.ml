@@ -23,7 +23,6 @@ let create () =
     bytes = 0;
   }
 
-let is_empty t = t.len = 0
 let cardinal t = t.len
 let total_bytes t = t.bytes
 
@@ -135,46 +134,11 @@ let remove t r =
     t.bytes <- t.bytes - !removed + kept
   end
 
-(* Indices of every entry overlapping [r]; empty iff i > j. *)
-let overlap_window t r =
-  let i = first_hi_ge t (Range.lo r) in
-  let j = first_lo_gt t (Range.hi r) - 1 in
-  (i, j)
-
-let bytes_in t r =
-  let i, j = overlap_window t r in
-  let total = ref 0 in
-  for k = i to j do
-    total := !total + (min t.hi.(k) (Range.hi r) - max t.lo.(k) (Range.lo r) + 1)
-  done;
-  !total
-
-let overlapping t r =
-  let i, j = overlap_window t r in
-  let out = ref [] in
-  for k = j downto i do
-    out :=
-      Range.make (max t.lo.(k) (Range.lo r)) (min t.hi.(k) (Range.hi r))
-      :: !out
-  done;
-  !out
-
 let mem_overlap t r =
   (* Last entry starting at or before the query's end; it overlaps iff
      it ends at or after the query's start. *)
   let j = first_lo_gt t (Range.hi r) - 1 in
   j >= 0 && t.hi.(j) >= Range.lo r
 
-let covers t r =
-  let j = first_lo_gt t (Range.lo r) - 1 in
-  j >= 0 && t.hi.(j) >= Range.hi r
-
 let ranges t =
   List.init t.len (fun k -> Range.make t.lo.(k) t.hi.(k))
-
-let pp ppf t =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       Range.pp)
-    (ranges t)

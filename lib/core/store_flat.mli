@@ -1,4 +1,4 @@
-(** Imperative flat taint set — the [Flat] backend of {!Store}.
+(** Imperative flat taint set — the production [Flat] store of {!Store}.
 
     A sorted interval array (parallel [lo]/[hi] int arrays) holding the
     canonical maximal disjoint closed ranges, exactly like {!Range_set}
@@ -12,7 +12,6 @@
 type t
 
 val create : unit -> t
-val is_empty : t -> bool
 
 val add : t -> Pift_util.Range.t -> unit
 (** Insert, merging with every overlapping-or-adjacent entry. O(log n)
@@ -24,17 +23,6 @@ val remove : t -> Pift_util.Range.t -> unit
 val mem_overlap : t -> Pift_util.Range.t -> bool
 (** O(log n) binary search. *)
 
-val covers : t -> Pift_util.Range.t -> bool
-
-val bytes_in : t -> Pift_util.Range.t -> int
-(** Tainted bytes inside the query window: the summed overlap of every
-    entry with the range.  O(log n + entries in window); the {!Store}
-    hybrid backend reads page occupancy through this. *)
-
-val overlapping : t -> Pift_util.Range.t -> Pift_util.Range.t list
-(** Entries overlapping the query, clipped to it, in increasing address
-    order. *)
-
 val cardinal : t -> int
 (** O(1). *)
 
@@ -43,5 +31,3 @@ val total_bytes : t -> int
 
 val ranges : t -> Pift_util.Range.t list
 (** Maximal ranges in increasing address order. *)
-
-val pp : Format.formatter -> t -> unit

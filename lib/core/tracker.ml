@@ -342,7 +342,7 @@ let persist t =
     p_prov = Option.map Provenance.persist t.prov;
   }
 
-(* Rebuild into a fresh tracker of the same policy/backend/prov mode.
+(* Rebuild into a fresh tracker of the same policy/prov mode.
    Ranges go through the raw store [add] — not [taint_source] — so the
    provenance sidecar (restored from its own record) and the stats
    counters are not perturbed; one [update_peaks] at the end syncs the

@@ -19,13 +19,12 @@ val create :
   ?flight:Pift_obs.Flight.t -> ?prov:Provenance.t ->
   ?telemetry:Pift_obs.Telemetry.t -> ?profile:Pift_obs.Profile.t -> unit -> t
 (** [policy] defaults to {!Policy.default}; [store] to
-    [Store.create ()] (the [Functional] backend — pass
-    [Store.create ~backend ()] to pick another; all exact backends give
-    identical verdicts and stats).  When [metrics] is given, the tracker
-    registers
-    [pift_tracker_*] counters and gauges (events, lookups, tainted loads,
-    taint/untaint ops, tainted-bytes and range-count gauges, and a
-    per-pid [pift_tracker_window_opens_total] family) and keeps them in
+    [Store.create ()], the production [Flat] store (the test references
+    [Store.create ~backend ()] give identical verdicts and stats).  When
+    [metrics] is given, the tracker registers [pift_tracker_*] counters
+    and gauges (events, lookups, tainted loads, taint/untaint ops,
+    tainted-bytes and range-count gauges, and a per-pid
+    [pift_tracker_window_opens_total] family) and keeps them in
     lock-step with {!stats}; without it the observer path is a no-op.
 
     When [flight] is given, the tracker also stamps the flight recorder:
@@ -35,7 +34,7 @@ val create :
     taint — the fine-grained counter tracks behind [--trace-out] on
     single replays.
 
-    When [prov] is given (create it with the same policy and backend),
+    When [prov] is given (create it with the same policy),
     the tracker drives it as an origin-set sidecar: sources land with
     their kind as the label, every observed event and [untaint_range]
     is mirrored, and {!origins_of} answers from it.  The sidecar's
@@ -132,10 +131,10 @@ val persist : t -> persisted
 
 val restore : t -> persisted -> unit
 (** Rebuild persisted state into a freshly created tracker with the
-    same policy, store backend and provenance mode (the snapshot
-    manifest records all three).  Restored ranges bypass
-    [taint_source], so stats and the sidecar keep their persisted
-    values; gauges and the Fig. 15 series are synced once at the end.
-    After [restore t p] the tracker's observable behaviour — verdicts,
+    same policy and provenance mode (the snapshot manifest records both;
+    persisted ranges are canonical, so the store backend is free).
+    Restored ranges bypass [taint_source], so stats and the sidecar keep
+    their persisted values; gauges and the Fig. 15 series are synced once
+    at the end.  After [restore t p] the tracker's observable behaviour — verdicts,
     origin sets, stats, future window decisions — is identical to the
     persisted tracker's. *)

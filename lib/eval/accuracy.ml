@@ -31,11 +31,11 @@ let classify ~leaky ~flagged c =
 
 let empty = { tp = 0; fp = 0; tn = 0; fn = 0 }
 
-let evaluate ?backend ~policy apps =
+let evaluate ~policy apps =
   List.fold_left
     (fun acc (app : App.t) ->
       let recorded = Recorded.record app in
-      let replay = Recorded.replay ?backend ~policy recorded in
+      let replay = Recorded.replay ~policy recorded in
       classify ~leaky:app.App.leaky ~flagged:replay.Recorded.flagged acc)
     empty apps
 
@@ -92,15 +92,15 @@ let jaccard a b =
    exact full-DIFT replay does?  Over-attribution (a superset) is the
    expected failure mode of window-based prediction; under-attribution
    would mean a real source went missing. *)
-let attribution ?backend ~policy apps =
+let attribution ~policy apps =
   let rows =
     List.concat_map
       (fun (app : App.t) ->
         let recorded = Recorded.record app in
         let replay =
-          Recorded.replay ?backend ~with_origins:true ~policy recorded
+          Recorded.replay ~with_origins:true ~policy recorded
         in
-        let dift = Recorded.replay_dift ?backend ~with_origins:true recorded in
+        let dift = Recorded.replay_dift ~with_origins:true recorded in
         List.concat
           (List.mapi
              (fun i
@@ -379,11 +379,11 @@ let cell sweep ~ni ~nt =
   | Some c -> c
   | None -> invalid_arg "Accuracy.cell: (ni, nt) outside the sweep"
 
-let misclassified ?backend ~policy apps =
+let misclassified ~policy apps =
   List.filter_map
     (fun (app : App.t) ->
       let recorded = Recorded.record app in
-      let replay = Recorded.replay ?backend ~policy recorded in
+      let replay = Recorded.replay ~policy recorded in
       match (app.App.leaky, replay.Recorded.flagged) with
       | true, false -> Some (app.App.name, `False_negative)
       | false, true -> Some (app.App.name, `False_positive)

@@ -21,11 +21,8 @@ type sweep = {
 }
 
 val evaluate :
-  ?backend:Pift_core.Store.backend ->
   policy:Pift_core.Policy.t -> Pift_workloads.App.t list -> confusion
-(** Record and replay each app once at the given policy.  [backend]
-    picks the taint-store representation for the replays; confusions
-    are identical whichever exact backend runs. *)
+(** Record and replay each app once at the given policy. *)
 
 (** {1 Attribution accuracy}
 
@@ -62,7 +59,6 @@ type attribution = {
 }
 
 val attribution :
-  ?backend:Pift_core.Store.backend ->
   policy:Pift_core.Policy.t ->
   Pift_workloads.App.t list ->
   attribution
@@ -123,8 +119,9 @@ val sweep :
     changes cells, metrics, or stdout.  [jobs]
     (default 1) sizes the [Pift_par] domain pool the recordings and
     grid cells run on; the result — cells and merged metrics both — is
-    identical for every [jobs] value, for every taint-store [backend],
-    and with tracing on or off.  [with_origins] (default off) threads
+    identical for every [jobs] value, for every taint-store [backend]
+    (default [Flat]; the test references give the same cells), and with
+    tracing on or off.  [with_origins] (default off) threads
     the provenance sidecar through every grid replay; verdicts are
     byte-identical with it on or off, so the sweep result is too — the
     flag only measures the sidecar's cost under the full grid. *)
@@ -132,7 +129,6 @@ val sweep :
 val cell : sweep -> ni:int -> nt:int -> confusion
 
 val misclassified :
-  ?backend:Pift_core.Store.backend ->
   policy:Pift_core.Policy.t ->
   Pift_workloads.App.t list ->
   (string * [ `False_positive | `False_negative ]) list

@@ -51,9 +51,9 @@ let fig10 ppf =
 
 (* --- Accuracy ----------------------------------------------------------- *)
 
-let fig11 ?backend ?rings ?on_cell ?(jobs = 1) ppf =
+let fig11 ?rings ?on_cell ?(jobs = 1) ppf =
   let sweep =
-    Accuracy.sweep ?backend ?rings ?on_cell ~jobs Droidbench.subset48
+    Accuracy.sweep ?rings ?on_cell ~jobs Droidbench.subset48
   in
   Accuracy.render sweep ppf ();
   let report (ni, nt) =
@@ -69,7 +69,7 @@ let fig11 ?backend ?rings ?on_cell ?(jobs = 1) ppf =
   in
   List.iter report [ (13, 3); (18, 3); (3, 2) ];
   let missed =
-    Accuracy.misclassified ?backend ~policy:Policy.default Droidbench.all
+    Accuracy.misclassified ~policy:Policy.default Droidbench.all
   in
   Format.fprintf ppf "misclassified at %s over all 57 apps: %s@."
     (Policy.to_string Policy.default)
@@ -84,7 +84,7 @@ let fig11 ?backend ?rings ?on_cell ?(jobs = 1) ppf =
                 | `False_positive -> " (FP)")
             missed))
 
-let malware ?backend ppf =
+let malware ppf =
   Format.fprintf ppf
     "malware detection at the paper's operating point %s:@."
     (Policy.to_string Policy.malware_catching);
@@ -92,7 +92,7 @@ let malware ?backend ppf =
     List.filter
       (fun (app : App.t) ->
         let r = Recorded.record app in
-        let rep = Recorded.replay ?backend ~policy:Policy.malware_catching r in
+        let rep = Recorded.replay ~policy:Policy.malware_catching r in
         Format.fprintf ppf "  %-14s %s@." app.App.name
           (if rep.Recorded.flagged then "DETECTED" else "missed");
         rep.Recorded.flagged)
@@ -104,67 +104,61 @@ let malware ?backend ppf =
 (* --- Overhead ----------------------------------------------------------- *)
 
 (* The 200-replay grid backs both Fig. 14 and Fig. 17; compute it once
-   per store backend (the first caller's job count — and rings, if
-   tracing — drives the pool; the points are jobs- and
-   backend-independent, so the memo stays coherent, but keying by
-   backend keeps an explicit [--store] request honest). *)
+   (the first caller's job count — and rings, if tracing — drives the
+   pool; the points are jobs-independent, so the memo stays coherent). *)
 let lgroot_grid =
-  let memo : (Store.backend option, Overhead.point list) Hashtbl.t =
-    Hashtbl.create 2
-  in
-  fun ?backend ?rings ~jobs () ->
-    match Hashtbl.find_opt memo backend with
+  let memo = ref None in
+  fun ?rings ~jobs () ->
+    match !memo with
     | Some grid -> grid
     | None ->
-        let grid =
-          Overhead.grid ?backend ?rings ~jobs (lgroot_recording ())
-        in
-        Hashtbl.add memo backend grid;
+        let grid = Overhead.grid ?rings ~jobs (lgroot_recording ()) in
+        memo := Some grid;
         grid
 
-let fig14 ?backend ?rings ?(jobs = 1) ppf =
+let fig14 ?rings ?(jobs = 1) ppf =
   Overhead.render_grid
     ~title:"Fig. 14 — maximum size of tainted addresses (bytes) vs (NI, NT)"
     ~metric:(fun p -> p.Overhead.max_tainted_bytes)
-    (lgroot_grid ?backend ?rings ~jobs ()) ppf ()
+    (lgroot_grid ?rings ~jobs ()) ppf ()
 
-let fig17 ?backend ?rings ?(jobs = 1) ppf =
+let fig17 ?rings ?(jobs = 1) ppf =
   Overhead.render_grid
     ~title:"Fig. 17 — maximum number of distinct ranges vs (NI, NT)"
     ~metric:(fun p -> p.Overhead.max_ranges)
-    (lgroot_grid ?backend ?rings ~jobs ()) ppf ()
+    (lgroot_grid ?rings ~jobs ()) ppf ()
 
 let series_params = [ (5, 3); (10, 3); (15, 3); (20, 3); (10, 2); (20, 1) ]
 
-let fig15 ?backend ppf =
+let fig15 ppf =
   let recorded = lgroot_recording () in
   let curves =
     List.map
       (fun (ni, nt) ->
         ( Printf.sprintf "(%d,%d)" ni nt,
-          fst (Overhead.series ?backend recorded ~ni ~nt) ))
+          fst (Overhead.series recorded ~ni ~nt) ))
       series_params
   in
   Overhead.render_series
     ~title:"Fig. 15 — size of tainted addresses (bytes) over time"
     ~log_scale:true curves ppf ()
 
-let fig16 ?backend ppf =
+let fig16 ppf =
   let recorded = lgroot_recording () in
   let curves =
     List.map
       (fun (ni, nt) ->
         ( Printf.sprintf "(%d,%d)" ni nt,
-          snd (Overhead.series ?backend recorded ~ni ~nt) ))
+          snd (Overhead.series recorded ~ni ~nt) ))
       series_params
   in
   Overhead.render_series
     ~title:"Fig. 16 — cumulative tainting+untainting operations over time"
     ~log_scale:true curves ppf ()
 
-let untaint_figs ?backend ?rings ?(jobs = 1) ~metric ~title ppf =
+let untaint_figs ?rings ?(jobs = 1) ~metric ~title ppf =
   let effects =
-    Overhead.untaint_effect ?backend ?rings ~jobs (lgroot_recording ())
+    Overhead.untaint_effect ?rings ~jobs (lgroot_recording ())
       ~nis:[ 5; 10; 15; 20 ] ~nt:3
   in
   Format.fprintf ppf "@[<v>== %s ==@," title;
@@ -178,16 +172,16 @@ let untaint_figs ?backend ?rings ?(jobs = 1) ~metric ~title ppf =
     effects;
   Format.fprintf ppf "@]@."
 
-let fig18 ?backend ?rings ?jobs ppf =
-  untaint_figs ?backend ?rings ?jobs
+let fig18 ?rings ?jobs ppf =
+  untaint_figs ?rings ?jobs
     ~metric:(fun p -> p.Overhead.max_tainted_bytes)
     ~title:
       "Fig. 18 — effect of untainting on the maximum size of tainted \
        addresses (bytes), NT=3"
     ppf
 
-let fig19 ?backend ?rings ?jobs ppf =
-  untaint_figs ?backend ?rings ?jobs
+let fig19 ?rings ?jobs ppf =
+  untaint_figs ?rings ?jobs
     ~metric:(fun p -> p.Overhead.max_ranges)
     ~title:
       "Fig. 19 — effect of untainting on the maximum number of distinct \
@@ -196,10 +190,10 @@ let fig19 ?backend ?rings ?jobs ppf =
 
 (* --- Hardware model ----------------------------------------------------- *)
 
-let hw ?backend ppf =
+let hw ppf =
   let recorded = lgroot_recording () in
   let storage =
-    Storage.create ~entries:2730 ~eviction:Storage.Lru_writeback ?backend ()
+    Storage.create ~entries:2730 ~eviction:Storage.Lru_writeback ()
   in
   let store = Store.of_storage storage in
   let replay = Recorded.replay ~store ~policy:Policy.default recorded in
@@ -223,7 +217,7 @@ let hw ?backend ppf =
   in
   Format.fprintf ppf "%a@,@]@." Hw_model.pp_report report
 
-let ablation_storage ?backend ppf =
+let ablation_storage ppf =
   let recorded = lgroot_recording () in
   Format.fprintf ppf
     "@[<v>== Ablation — taint-storage capacity and eviction policy \
@@ -232,7 +226,7 @@ let ablation_storage ?backend ppf =
   Format.fprintf ppf "%10s %16s %10s %10s %10s %10s %10s@," "entries"
     "eviction" "flagged" "evict" "drop" "2nd-hits" "overhead";
   let run entries eviction name =
-    let storage = Storage.create ~entries ~eviction ?backend () in
+    let storage = Storage.create ~entries ~eviction () in
     let replay =
       Recorded.replay ~store:(Store.of_storage storage) ~policy:Policy.default
         recorded
@@ -256,7 +250,7 @@ let ablation_storage ?backend ppf =
     [ 16; 64; 256; 2730 ];
   Format.fprintf ppf "@]@."
 
-let ablation_granularity ?backend ppf =
+let ablation_granularity ppf =
   Format.fprintf ppf
     "@[<v>== Ablation — arbitrary ranges vs fixed-granularity block \
      tagging (DroidBench subset, %s) ==@,"
@@ -269,7 +263,7 @@ let ablation_granularity ?backend ppf =
     List.iter
       (fun (app : App.t) ->
         let recorded = Recorded.record app in
-        let storage = Storage.create ~entries:8192 ~granularity ?backend () in
+        let storage = Storage.create ~entries:8192 ~granularity () in
         let replay =
           Recorded.replay ~store:(Store.of_storage storage)
             ~policy:Policy.default recorded
@@ -297,7 +291,7 @@ let ablation_granularity ?backend ppf =
 
 (* --- Extensions ---------------------------------------------------------- *)
 
-let evasion ?backend ppf =
+let evasion ppf =
   Format.fprintf ppf
     "@[<v>== Evasion (§4.2) and the compiler countermeasure (§7) ==@,\
      The attack stretches each load→store pair with %d dummy instructions;@,\
@@ -310,11 +304,11 @@ let evasion ?backend ppf =
   List.iter
     (fun (app : App.t) ->
       let r = Recorded.record app in
-      let p13 = Recorded.replay ?backend ~policy:Policy.default r in
+      let p13 = Recorded.replay ~policy:Policy.default r in
       let p20 =
-        Recorded.replay ?backend ~policy:(Policy.make ~ni:20 ~nt:10 ()) r
+        Recorded.replay ~policy:(Policy.make ~ni:20 ~nt:10 ()) r
       in
-      let d = Recorded.replay_dift ?backend r in
+      let d = Recorded.replay_dift r in
       let v b = if b then "DETECTED" else "missed" in
       Format.fprintf ppf "%-18s %14s %14s %12s@," app.App.name
         (v p13.Recorded.flagged) (v p20.Recorded.flagged)
@@ -322,7 +316,7 @@ let evasion ?backend ppf =
     Pift_workloads.Evasion.all;
   Format.fprintf ppf "@]@."
 
-let ablation_jit ?backend ppf =
+let ablation_jit ppf =
   Format.fprintf ppf
     "@[<v>== Ablation — interpreter vs JIT/AOT compilation (§4.1) ==@,\
      JIT mode removes per-bytecode fetch/dispatch and dead decode work; \
@@ -332,7 +326,7 @@ let ablation_jit ?backend ppf =
       (fun c (app : App.t) ->
         let r = Recorded.record ~mode app in
         let f =
-          (Recorded.replay ?backend ~policy:Policy.default r).Recorded.flagged
+          (Recorded.replay ~policy:Policy.default r).Recorded.flagged
         in
         match (app.App.leaky, f) with
         | true, true -> { c with Accuracy.tp = c.Accuracy.tp + 1 }
@@ -370,7 +364,7 @@ let ablation_jit ?backend ppf =
      benign register-cleansing pattern turns into a false positive).@]@."
     li lj
 
-let multiproc ?backend ppf =
+let multiproc ppf =
   Format.fprintf ppf
     "@[<v>== Multi-process tracking: PID tags and context switches ==@,";
   (* one machine, two processes sharing frame addresses *)
@@ -378,9 +372,9 @@ let multiproc ?backend ppf =
   let module Manager = Pift_runtime.Manager in
   let module Cpu = Pift_machine.Cpu in
   let tracker =
-    Tracker.create ~policy:Policy.default ~store:(Store.create ?backend ()) ()
+    Tracker.create ~policy:Policy.default ~store:(Store.create ()) ()
   in
-  let storage = Storage.create ~entries:64 ?backend () in
+  let storage = Storage.create ~entries:64 () in
   let hw = Tracker.create ~policy:Policy.default ~store:(Store.of_storage storage) () in
   let env = Pift_runtime.Env.create ~sink:(fun e ->
       Tracker.observe tracker e;
@@ -513,7 +507,7 @@ let fig2_multi ppf =
     "@,every workload shows the same structure: the overwhelming mass of@,\
      store-to-last-load distances sits within 10 instructions.@]@."
 
-let extended ?backend ppf =
+let extended ppf =
   Format.fprintf ppf
     "@[<v>== Extended suite — patterns beyond DroidBench 1.1 ==@,";
   Format.fprintf ppf "%-20s %-26s %7s %12s %12s@," "app" "category" "label"
@@ -522,8 +516,8 @@ let extended ?backend ppf =
   List.iter
     (fun (a : App.t) ->
       let r = Recorded.record a in
-      let p = Recorded.replay ?backend ~policy:Policy.default r in
-      let d = Recorded.replay_dift ?backend r in
+      let p = Recorded.replay ~policy:Policy.default r in
+      let d = Recorded.replay_dift r in
       if p.Recorded.flagged = a.App.leaky then incr correct;
       Format.fprintf ppf "%-20s %-26s %7s %12s %12s@," a.App.name
         a.App.category
@@ -558,18 +552,18 @@ let provenance ppf =
     Malware.all;
   Format.fprintf ppf "@]@."
 
-let attribution ?backend ppf =
+let attribution ppf =
   Format.fprintf ppf
     "@[<v>== Attribution accuracy — predicted origin sets vs full-DIFT \
      ground truth (true-positive sinks) ==@,";
   let at =
-    Accuracy.attribution ?backend ~policy:Policy.default
+    Accuracy.attribution ~policy:Policy.default
       (Droidbench.subset48 @ Malware.all)
   in
   Accuracy.render_attribution at ppf ();
   Format.fprintf ppf "@]@."
 
-let min_windows ?backend ppf =
+let min_windows ppf =
   Format.fprintf ppf
     "@[<v>== Minimal windows per app (the per-leakage-type upper bound \
      the paper leaves to future work) ==@,";
@@ -581,7 +575,7 @@ let min_windows ?backend ppf =
     (fun (app : App.t) ->
       let r = Recorded.record app in
       let flagged ni nt =
-        (Recorded.replay ?backend ~policy:(Policy.make ~ni ~nt ()) r)
+        (Recorded.replay ~policy:(Policy.make ~ni ~nt ()) r)
           .Recorded.flagged
       in
       let min_ni =
@@ -596,7 +590,7 @@ let min_windows ?backend ppf =
     leaky_subset;
   Format.fprintf ppf "@]@."
 
-let categories ?backend ppf =
+let categories ppf =
   Format.fprintf ppf
     "@[<v>== Per-category results at %s (FlowDroid-style breakdown) ==@,"
     (Policy.to_string Policy.default);
@@ -607,7 +601,7 @@ let categories ?backend ppf =
     (fun (a : App.t) ->
       let r = Recorded.record a in
       let flagged =
-        (Recorded.replay ?backend ~policy:Policy.default r).Recorded.flagged
+        (Recorded.replay ~policy:Policy.default r).Recorded.flagged
       in
       let ok, fp, fn =
         match (a.App.leaky, flagged) with
@@ -641,11 +635,11 @@ let advise ppf =
     (Advisor.evaluate corpus ~policy:Policy.default);
   Format.fprintf ppf "@]@."
 
-let summary ?backend ppf =
+let summary ppf =
   Format.fprintf ppf
     "@[<v>== Headline numbers (paper section 5.1) ==@,";
   let c =
-    Accuracy.evaluate ?backend ~policy:Policy.default Droidbench.subset48
+    Accuracy.evaluate ~policy:Policy.default Droidbench.subset48
   in
   Format.fprintf ppf
     "DroidBench subset at %s: accuracy %.1f%% (paper: 97.9%%), FP %.0f%% \
@@ -655,7 +649,7 @@ let summary ?backend ppf =
     (100. *. Accuracy.fp_rate c)
     (100. *. Accuracy.fn_rate c);
   let c100 =
-    Accuracy.evaluate ?backend ~policy:Policy.perfect_droidbench
+    Accuracy.evaluate ~policy:Policy.perfect_droidbench
       Droidbench.subset48
   in
   Format.fprintf ppf "at %s: accuracy %.1f%% (paper: 100%%)@,"
@@ -664,7 +658,7 @@ let summary ?backend ppf =
   let detected =
     List.filter
       (fun app ->
-        (Recorded.replay ?backend ~policy:Policy.malware_catching
+        (Recorded.replay ~policy:Policy.malware_catching
            (Recorded.record app))
           .Recorded.flagged)
       Malware.all
@@ -706,38 +700,38 @@ let all =
     ("summary", "headline accuracy and detection numbers");
   ]
 
-let run ?backend ?rings ?on_cell ?jobs id ppf =
+let run ?rings ?on_cell ?jobs id ppf =
   header ppf id;
   match id with
   | "fig2" -> fig2 ppf
   | "table1" -> table1 ppf
   | "fig10" -> fig10 ppf
-  | "fig11" -> fig11 ?backend ?rings ?on_cell ?jobs ppf
-  | "malware" -> malware ?backend ppf
+  | "fig11" -> fig11 ?rings ?on_cell ?jobs ppf
+  | "malware" -> malware ppf
   | "fig12" -> fig12 ppf
   | "fig13" -> fig13 ppf
-  | "fig14" -> fig14 ?backend ?rings ?jobs ppf
-  | "fig15" -> fig15 ?backend ppf
-  | "fig16" -> fig16 ?backend ppf
-  | "fig17" -> fig17 ?backend ?rings ?jobs ppf
-  | "fig18" -> fig18 ?backend ?rings ?jobs ppf
-  | "fig19" -> fig19 ?backend ?rings ?jobs ppf
-  | "hw" -> hw ?backend ppf
-  | "ablation-storage" -> ablation_storage ?backend ppf
-  | "ablation-granularity" -> ablation_granularity ?backend ppf
-  | "ablation-jit" -> ablation_jit ?backend ppf
-  | "evasion" -> evasion ?backend ppf
-  | "multiproc" -> multiproc ?backend ppf
+  | "fig14" -> fig14 ?rings ?jobs ppf
+  | "fig15" -> fig15 ppf
+  | "fig16" -> fig16 ppf
+  | "fig17" -> fig17 ?rings ?jobs ppf
+  | "fig18" -> fig18 ?rings ?jobs ppf
+  | "fig19" -> fig19 ?rings ?jobs ppf
+  | "hw" -> hw ppf
+  | "ablation-storage" -> ablation_storage ppf
+  | "ablation-granularity" -> ablation_granularity ppf
+  | "ablation-jit" -> ablation_jit ppf
+  | "evasion" -> evasion ppf
+  | "multiproc" -> multiproc ppf
   | "provenance" -> provenance ppf
-  | "attribution" -> attribution ?backend ppf
-  | "extended" -> extended ?backend ppf
+  | "attribution" -> attribution ppf
+  | "extended" -> extended ppf
   | "deferred" -> deferred ppf
   | "fig2-multi" -> fig2_multi ppf
-  | "categories" -> categories ?backend ppf
+  | "categories" -> categories ppf
   | "advise" -> advise ppf
-  | "min-windows" -> min_windows ?backend ppf
-  | "summary" -> summary ?backend ppf
+  | "min-windows" -> min_windows ppf
+  | "summary" -> summary ppf
   | other -> failwith ("Experiments.run: unknown experiment " ^ other)
 
-let run_all ?backend ?rings ?jobs ppf =
-  List.iter (fun (id, _) -> run ?backend ?rings ?jobs id ppf) all
+let run_all ?rings ?jobs ppf =
+  List.iter (fun (id, _) -> run ?rings ?jobs id ppf) all

@@ -11,26 +11,21 @@ val all : (string * string) list
     [ablation-storage], [ablation-granularity], [summary]. *)
 
 val run :
-  ?backend:Pift_core.Store.backend ->
   ?rings:Pift_obs.Flight.t array ->
   ?on_cell:(int -> int -> unit) ->
   ?jobs:int ->
   string ->
   Format.formatter ->
   unit
-(** Raises [Failure] on an unknown id.  [backend] selects the
-    taint-store representation for every replay the experiment performs
-    (and the hardware model's secondary store); output is identical for
-    every exact backend.  [jobs] (default 1) sizes the [Pift_par] domain
-    pool behind the grid-sweep experiments (fig11, fig14, fig17, fig18,
-    fig19); every experiment's output is identical for every [jobs]
-    value and with tracing on or off.  [rings] (one flight-recorder ring
-    per worker slot) gives those experiments per-cell spans and counter
-    samples; [on_cell] reports fig11 grid progress (see
-    {!Accuracy.sweep}). *)
+(** Raises [Failure] on an unknown id.  [jobs] (default 1) sizes the
+    [Pift_par] domain pool behind the grid-sweep experiments (fig11,
+    fig14, fig17, fig18, fig19); every experiment's output is identical
+    for every [jobs] value and with tracing on or off.  [rings] (one
+    flight-recorder ring per worker slot) gives those experiments
+    per-cell spans and counter samples; [on_cell] reports fig11 grid
+    progress (see {!Accuracy.sweep}). *)
 
 val run_all :
-  ?backend:Pift_core.Store.backend ->
   ?rings:Pift_obs.Flight.t array -> ?jobs:int -> Format.formatter -> unit
 
 val lgroot_recording : unit -> Recorded.t

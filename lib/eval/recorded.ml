@@ -119,7 +119,7 @@ let items t =
     end
     else None
 
-let replay ?(backend = Store.Functional) ?store ?metrics ?flight ?telemetry
+let replay ?(backend = Store.Flat) ?store ?metrics ?flight ?telemetry
     ?profile ?(with_origins = false) ~policy t =
   Pift_obs.Profile.span profile "replay" @@ fun () ->
   let store =
@@ -183,8 +183,8 @@ type dift_replay = {
   dift_origins : origin_verdict list;
 }
 
-let replay_dift ?(backend = Store.Functional) ?(with_origins = false) t =
-  let dift = Full_dift.create ~backend ~track_origins:with_origins () in
+let replay_dift ?(with_origins = false) t =
+  let dift = Full_dift.create ~track_origins:with_origins () in
   let verdicts = ref [] in
   let origin_verdicts = ref [] in
   let on_marker = function

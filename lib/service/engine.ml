@@ -62,7 +62,6 @@ type shard = {
 type config = {
   shards : int;
   policy : Policy.t;
-  backend : Store.backend;
   queue_capacity : int;
   batch : int;
   pid_range : int;
@@ -130,10 +129,9 @@ let make_shard ~telemetry_capacity id =
           float_of_int (Spsc.length sh.sh_queue)));
   sh
 
-let create ?(shards = 1) ?(policy = Policy.default)
-    ?(backend = Store.Functional) ?(queue_capacity = 64) ?(batch = 128)
-    ?(pid_range = 1 lsl 20) ?(drop_when_full = false) ?(with_origins = false)
-    ?(telemetry_capacity = 0) () =
+let create ?(shards = 1) ?(policy = Policy.default) ?(queue_capacity = 64)
+    ?(batch = 128) ?(pid_range = 1 lsl 20) ?(drop_when_full = false)
+    ?(with_origins = false) ?(telemetry_capacity = 0) () =
   if shards <= 0 then invalid_arg "Engine.create: shards must be positive";
   if batch <= 0 then invalid_arg "Engine.create: batch must be positive";
   if pid_range <= 0 then invalid_arg "Engine.create: pid_range must be positive";
@@ -141,7 +139,6 @@ let create ?(shards = 1) ?(policy = Policy.default)
     {
       shards;
       policy;
-      backend;
       queue_capacity;
       batch;
       pid_range;
@@ -162,7 +159,6 @@ let create ?(shards = 1) ?(policy = Policy.default)
 
 let shards t = t.cfg.shards
 let policy t = t.cfg.policy
-let backend t = t.cfg.backend
 let pid_range t = t.cfg.pid_range
 let with_origins t = t.cfg.with_origins
 let registries t = Array.map (fun sh -> sh.sh_registry) t.shard_arr
@@ -186,10 +182,10 @@ let tenant_of t sh pid =
   | Some tn -> tn
   | None ->
       let cfg = t.cfg in
-      let store = Store.create ~backend:cfg.backend () in
+      let store = Store.create () in
       let prov =
         if cfg.with_origins then
-          Some (Provenance.create ~policy:cfg.policy ~backend:cfg.backend ())
+          Some (Provenance.create ~policy:cfg.policy ())
         else None
       in
       let tracker = Tracker.create ~policy:cfg.policy ~store ?prov () in
@@ -392,10 +388,10 @@ let shutdown t =
     Pool.shutdown t.pool
   end
 
-let with_engine ?shards ?policy ?backend ?queue_capacity ?batch ?pid_range
+let with_engine ?shards ?policy ?queue_capacity ?batch ?pid_range
     ?drop_when_full ?with_origins ?telemetry_capacity f =
   let t =
-    create ?shards ?policy ?backend ?queue_capacity ?batch ?pid_range
+    create ?shards ?policy ?queue_capacity ?batch ?pid_range
       ?drop_when_full ?with_origins ?telemetry_capacity ()
   in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

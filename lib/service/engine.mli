@@ -41,7 +41,6 @@ type stream = unit -> item option
 val create :
   ?shards:int ->
   ?policy:Pift_core.Policy.t ->
-  ?backend:Pift_core.Store.backend ->
   ?queue_capacity:int ->
   ?batch:int ->
   ?pid_range:int ->
@@ -51,8 +50,9 @@ val create :
   unit ->
   t
 (** [shards] (default 1) sets the shard count and spawns a pool of
-    [shards + 1] workers (slot 0 is the ingest producer).  [policy] and
-    [backend] configure every tenant tracker.  [queue_capacity]
+    [shards + 1] workers (slot 0 is the ingest producer).  [policy]
+    configures every tenant tracker, each on its own production
+    [Flat] store.  [queue_capacity]
     (default 64) bounds each shard queue in {e batches} of [batch]
     (default 128) items.  [pid_range] (default [2{^20}]) is the width
     of the contiguous pid blocks mapped to one shard.
@@ -80,7 +80,6 @@ val shutdown : t -> unit
 val with_engine :
   ?shards:int ->
   ?policy:Pift_core.Policy.t ->
-  ?backend:Pift_core.Store.backend ->
   ?queue_capacity:int ->
   ?batch:int ->
   ?pid_range:int ->
@@ -215,7 +214,6 @@ val stats : t -> stats
 
 val shards : t -> int
 val policy : t -> Pift_core.Policy.t
-val backend : t -> Pift_core.Store.backend
 val pid_range : t -> int
 val with_origins : t -> bool
 

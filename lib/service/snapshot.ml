@@ -1,7 +1,6 @@
 module Range = Pift_util.Range
 module Wire = Pift_util.Wire
 module Policy = Pift_core.Policy
-module Store = Pift_core.Store
 module Tracker = Pift_core.Tracker
 module Provenance = Pift_core.Provenance
 
@@ -36,8 +35,8 @@ module Provenance = Pift_core.Provenance
    v}
 
    The manifest must be record 1 and carries the engine config a
-   restore needs (policy, backend, origins mode) plus the pid-block
-   layout and expected record counts, so truncation at a record
+   restore needs (policy, origins mode) plus the pid-block layout and
+   expected record counts, so truncation at a record
    boundary — which reads as a clean EOF — is still caught.  Source
    pids are hex strings rather than varints: they cross the snapshot /
    trace-file boundary (a restore re-derives tenant pids from them),
@@ -61,7 +60,6 @@ let tag_tenant = 2
 type manifest = {
   m_shards : int;
   m_pid_range : int;
-  m_backend : Store.backend;
   m_with_origins : bool;
   m_policy : Policy.t;
   m_sources : int;  (* expected source records *)
@@ -99,11 +97,18 @@ let add_ranges buf rs =
   Wire.add_varint buf (List.length rs);
   List.iter (add_range buf) rs
 
+(* The manifest's backend field names the store that wrote the file.
+   Persisted state is canonical range lists, so any store restores it;
+   the field is kept for layout compatibility and checked only against
+   the names builds have ever written. *)
+let store_name = "flat"
+let legacy_store_names = [ "functional"; "flat"; "hybrid" ]
+
 let add_manifest buf m =
   Buffer.add_char buf (Char.chr tag_manifest);
   Wire.add_varint buf m.m_shards;
   Wire.add_varint buf m.m_pid_range;
-  Wire.add_string buf (Store.backend_to_string m.m_backend);
+  Wire.add_string buf store_name;
   add_bool buf m.m_with_origins;
   Wire.add_varint buf m.m_policy.Policy.ni;
   Wire.add_varint buf m.m_policy.Policy.nt;
@@ -319,11 +324,8 @@ let read_manifest br =
   let m_shards = br_varint br in
   let m_pid_range = br_varint br in
   let backend_s = br_string br in
-  let m_backend =
-    match Store.backend_of_string backend_s with
-    | Some b -> b
-    | None -> br_fail br (Printf.sprintf "unknown backend %S" backend_s)
-  in
+  if not (List.mem backend_s legacy_store_names) then
+    br_fail br (Printf.sprintf "unknown backend %S" backend_s);
   let m_with_origins = br_bool br in
   let ni = br_varint br in
   let nt = br_varint br in
@@ -340,7 +342,6 @@ let read_manifest br =
   {
     m_shards;
     m_pid_range;
-    m_backend;
     m_with_origins;
     m_policy = policy;
     m_sources;
@@ -562,7 +563,6 @@ let of_engine ?(sources = []) eng =
       {
         m_shards = Engine.shards eng;
         m_pid_range = Engine.pid_range eng;
-        m_backend = Engine.backend eng;
         m_with_origins = Engine.with_origins eng;
         m_policy = Engine.policy eng;
         m_sources = List.length sources;
@@ -575,7 +575,7 @@ let of_engine ?(sources = []) eng =
 let save ?sources eng path = write path (of_engine ?sources eng)
 
 (* Restores are strict about config compatibility: a tenant persisted
-   under one policy/backend/origins mode restored into an engine with
+   under one policy/origins mode restored into an engine with
    another would silently diverge from the uninterrupted run — the one
    thing a durability layer must never do. *)
 let restore_tenants eng t =
@@ -585,8 +585,6 @@ let restore_tenants eng t =
       (Printf.sprintf "Snapshot.restore_tenants: engine policy %s <> snapshot %s"
          (Policy.to_string (Engine.policy eng))
          (Policy.to_string m.m_policy));
-  if Engine.backend eng <> m.m_backend then
-    invalid_arg "Snapshot.restore_tenants: store backend mismatch";
   if Engine.with_origins eng <> m.m_with_origins then
     invalid_arg "Snapshot.restore_tenants: origins mode mismatch";
   if Engine.pid_range eng <> m.m_pid_range then

@@ -2,12 +2,12 @@
     format.
 
     A snapshot is a manifest record (engine config: shard count,
-    pid-block width, store backend, origins mode, policy, and expected
+    pid-block width, store name, origins mode, policy, and expected
     record counts), one record per ingest source (trace path, the
     tenant pid block it maps to, and the ingest {e cursor} — items the
     engine had fully processed when the snapshot was taken), and one
     record per tenant ({!Engine.tenant_persisted}: name, verdict log,
-    and the complete tracker stack — store intervals for any backend,
+    and the complete tracker stack — canonical store intervals,
     windows, stats and peaks, provenance origin sets).
 
     The coding is the same varint/zigzag layer as [Trace_io]'s binary
@@ -20,7 +20,7 @@
     always finds a complete file.
 
     Restore contract: an engine built from the manifest's policy /
-    backend / origins mode / pid_range (the shard count is free — see
+    origins mode / pid_range (the shard count is free — see
     {!Engine.restore_tenant}) with every tenant restored and every
     source re-opened and {!Ingest.skip}ped to its cursor resumes to
     byte-identical verdicts, origins, and stats versus the
@@ -29,7 +29,6 @@
 type manifest = {
   m_shards : int;  (** shard count at snapshot time (informational) *)
   m_pid_range : int;
-  m_backend : Pift_core.Store.backend;
   m_with_origins : bool;
   m_policy : Pift_core.Policy.t;
   m_sources : int;  (** expected source records *)
@@ -86,7 +85,7 @@ val save : ?sources:source_entry list -> Engine.t -> string -> unit
 val restore_tenants : Engine.t -> t -> unit
 (** Restore every tenant record into [eng] via
     {!Engine.restore_tenant}.  Raises [Invalid_argument] if the
-    engine's policy, backend, origins mode, or pid_range disagree with
+    engine's policy, origins mode, or pid_range disagree with
     the manifest — a mismatched restore would silently diverge from
     the uninterrupted run, which a durability layer must never do.
     The shard count may differ. *)

@@ -576,69 +576,65 @@ let test_storage_context_switch () =
   checkb "still visible via secondary" true (Storage.lookup s ~pid:1 (r 0 9));
   checkb "pid 2 too" true (Storage.lookup s ~pid:2 (r 20 29))
 
-(* Eviction paths under a live metrics registry, for every secondary
-   backend: capacity pressure under Lru_writeback must count evictions
-   and writebacks (and keep evicted state reachable through secondary
-   hits + promotion), Drop must count drops and lose the range, and the
-   occupancy gauge must track valid primary entries. *)
+(* Eviction paths under a live metrics registry: capacity pressure under
+   Lru_writeback must count evictions and writebacks (and keep evicted
+   state reachable through secondary hits + promotion), Drop must count
+   drops and lose the range, and the occupancy gauge must track valid
+   primary entries. *)
 let storage_counter registry name =
   match Pift_obs.Registry.find_counter registry name with
   | Some v -> v
   | None -> Alcotest.failf "counter %s not registered" name
 
 let test_storage_lru_eviction_metrics () =
-  List.iter
-    (fun backend ->
-      let name s = Store.backend_to_string backend ^ ": " ^ s in
-      let registry = Pift_obs.Registry.create () in
-      let s =
-        Storage.create ~entries:2 ~eviction:Storage.Lru_writeback ~backend
-          ~metrics:registry ()
-      in
-      Storage.insert s ~pid:1 (r 0 9);
-      Storage.insert s ~pid:1 (r 20 29);
-      checkb (name "no eviction while capacity lasts") true
-        (storage_counter registry "pift_storage_evictions_total" = 0);
-      (* touch the first entry so the second is least recently used *)
-      checkb (name "primary hit") true (Storage.lookup s ~pid:1 (r 0 0));
-      Storage.insert s ~pid:1 (r 40 49);
-      checki (name "one eviction")
-        1 (storage_counter registry "pift_storage_evictions_total");
-      checki (name "eviction wrote back")
-        1 (storage_counter registry "pift_storage_writebacks_total");
-      checkb (name "occupancy gauge full") true
-        (Pift_obs.Registry.find_gauge registry "pift_storage_occupancy"
-        = Some 2.0);
-      (* the evicted range is only in secondary storage now: a lookup is
-         a secondary hit and promotes it back, evicting the next LRU *)
-      checkb (name "evicted range still reachable") true
-        (Storage.lookup s ~pid:1 (r 20 29));
-      checki (name "secondary hit counted")
-        1 (storage_counter registry "pift_storage_secondary_hits_total");
-      checki (name "promotion evicted the next LRU")
-        2 (storage_counter registry "pift_storage_evictions_total");
-      checki (name "second writeback")
-        2 (storage_counter registry "pift_storage_writebacks_total");
-      checki (name "promotion is an insertion")
-        4 (storage_counter registry "pift_storage_insertions_total");
-      (* the newly-evicted range went through the same cycle *)
-      checkb (name "second evicted range still reachable") true
-        (Storage.lookup s ~pid:1 (r 0 9));
-      checki (name "second secondary hit")
-        2 (storage_counter registry "pift_storage_secondary_hits_total");
-      checki (name "drops never fire under Lru_writeback")
-        0 (storage_counter registry "pift_storage_drops_total");
-      (* counters mirror stats exactly *)
-      let st = Storage.stats s in
-      checki (name "stats/evictions agree") st.Storage.evictions
-        (storage_counter registry "pift_storage_evictions_total");
-      checki (name "stats/writebacks agree") st.Storage.writebacks
-        (storage_counter registry "pift_storage_writebacks_total");
-      checki (name "stats/secondary agree") st.Storage.secondary_hits
-        (storage_counter registry "pift_storage_secondary_hits_total");
-      checki (name "stats/lookups agree") st.Storage.lookups
-        (storage_counter registry "pift_storage_lookups_total"))
-    [ Store.Functional; Store.Flat ]
+  let registry = Pift_obs.Registry.create () in
+  let s =
+    Storage.create ~entries:2 ~eviction:Storage.Lru_writeback ~metrics:registry
+      ()
+  in
+  Storage.insert s ~pid:1 (r 0 9);
+  Storage.insert s ~pid:1 (r 20 29);
+  checkb "no eviction while capacity lasts" true
+    (storage_counter registry "pift_storage_evictions_total" = 0);
+  (* touch the first entry so the second is least recently used *)
+  checkb "primary hit" true (Storage.lookup s ~pid:1 (r 0 0));
+  Storage.insert s ~pid:1 (r 40 49);
+  checki "one eviction" 1
+    (storage_counter registry "pift_storage_evictions_total");
+  checki "eviction wrote back" 1
+    (storage_counter registry "pift_storage_writebacks_total");
+  checkb "occupancy gauge full" true
+    (Pift_obs.Registry.find_gauge registry "pift_storage_occupancy"
+    = Some 2.0);
+  (* the evicted range is only in secondary storage now: a lookup is
+     a secondary hit and promotes it back, evicting the next LRU *)
+  checkb "evicted range still reachable" true
+    (Storage.lookup s ~pid:1 (r 20 29));
+  checki "secondary hit counted" 1
+    (storage_counter registry "pift_storage_secondary_hits_total");
+  checki "promotion evicted the next LRU" 2
+    (storage_counter registry "pift_storage_evictions_total");
+  checki "second writeback" 2
+    (storage_counter registry "pift_storage_writebacks_total");
+  checki "promotion is an insertion" 4
+    (storage_counter registry "pift_storage_insertions_total");
+  (* the newly-evicted range went through the same cycle *)
+  checkb "second evicted range still reachable" true
+    (Storage.lookup s ~pid:1 (r 0 9));
+  checki "second secondary hit" 2
+    (storage_counter registry "pift_storage_secondary_hits_total");
+  checki "drops never fire under Lru_writeback" 0
+    (storage_counter registry "pift_storage_drops_total");
+  (* counters mirror stats exactly *)
+  let st = Storage.stats s in
+  checki "stats/evictions agree" st.Storage.evictions
+    (storage_counter registry "pift_storage_evictions_total");
+  checki "stats/writebacks agree" st.Storage.writebacks
+    (storage_counter registry "pift_storage_writebacks_total");
+  checki "stats/secondary agree" st.Storage.secondary_hits
+    (storage_counter registry "pift_storage_secondary_hits_total");
+  checki "stats/lookups agree" st.Storage.lookups
+    (storage_counter registry "pift_storage_lookups_total")
 
 let test_storage_drop_metrics () =
   let registry = Pift_obs.Registry.create () in
@@ -780,7 +776,7 @@ let () =
           Alcotest.test_case "granularity" `Quick test_storage_granularity;
           Alcotest.test_case "context switch" `Quick
             test_storage_context_switch;
-          Alcotest.test_case "LRU eviction metrics (per backend)" `Quick
+          Alcotest.test_case "LRU eviction metrics" `Quick
             test_storage_lru_eviction_metrics;
           Alcotest.test_case "drop metrics" `Quick test_storage_drop_metrics;
         ] );

@@ -2,15 +2,19 @@
    contract.
 
    - a seeded round-trip property: persist∘restore is the identity for
-     every store backend × provenance mode, checked structurally, at
-     the byte level, and differentially — a restored tracker must be
-     indistinguishable from a bytemap-oracle tracker that was never
-     persisted, including on a fresh op suffix (windows, peaks and
-     origin sets all have to survive the trip for that to hold);
-   - corrupt-fixture decoding: truncation, bad magic, wrong version and
-     non-hex pid records all fail with a positioned
-     [Snapshot: record N] error, never a bare exception, and the
-     streaming reader delivers every intact prefix record first;
+     the production store and the functional reference × provenance
+     mode, checked structurally, at the byte level, and differentially
+     — a restored tracker must be indistinguishable from a
+     bytemap-oracle tracker that was never persisted, including on a
+     fresh op suffix (windows, peaks and origin sets all have to
+     survive the trip for that to hold);
+   - corrupt-fixture decoding: truncation, bad magic, wrong version,
+     non-hex pid records and unknown store names all fail with a
+     positioned [Snapshot: record N] error, never a bare exception, and
+     the streaming reader delivers every intact prefix record first;
+   - compatibility: a committed snapshot written by an earlier build
+     (its manifest names the [functional] store) restores and resumes
+     to the same tenant state as a clean run;
    - fault-injection crash/recovery differentials: kill a shard
      consumer mid-ingest through the production Spsc abort path,
      restore the last snapshot into a fresh engine (same or different
@@ -215,7 +219,7 @@ let test_roundtrip_property () =
               (Printf.sprintf "snapshot roundtrip (%s, prov=%b)"
                  (Store.backend_to_string backend)
                  prov_on)
-            ~count:20
+            ~count:30
             ~gen:(fun rng -> gen_tops rng 100)
             ~shrink:Prop.shrink_candidates
             ~to_string:(fun ops ->
@@ -223,7 +227,7 @@ let test_roundtrip_property () =
                 (String.concat "; " (List.map top_to_string ops)))
             (roundtrip_prop ~backend ~prov_on))
         [ false; true ])
-    [ Store.Functional; Store.Flat; Store.Hybrid ]
+    [ Store.Flat; Store.Functional ]
 
 (* --- snapshot files: write/load identity ---------------------------------- *)
 
@@ -423,6 +427,102 @@ let test_corrupt_non_hex_pid () =
           (* the manifest (record 1) was still delivered *)
           checki "intact prefix delivered" 1 !delivered))
 
+(* The manifest's store-name field accepts exactly the names builds
+   have written ([functional], [flat], [hybrid]); any other name is a
+   positioned failure.  The manifest is record 1 and short, so its
+   payload length is the single varint byte after the 9-byte header. *)
+let test_store_names () =
+  sample_snapshot_bytes (fun t full ->
+      let needle = "\004flat" in
+      let idx =
+        let n = String.length needle in
+        let rec go i =
+          if i + n > String.length full then
+            Alcotest.fail "store name not found in the manifest"
+          else if String.sub full i n = needle then i
+          else go (i + 1)
+        in
+        go 9
+      in
+      let with_name name =
+        let len = Char.code full.[9] + String.length name - 4 in
+        String.sub full 0 9
+        ^ String.make 1 (Char.chr len)
+        ^ String.sub full 10 (idx - 10)
+        ^ String.make 1 (Char.chr (String.length name))
+        ^ name
+        ^ String.sub full (idx + 5) (String.length full - idx - 5)
+      in
+      with_tmp ~suffix:".piftsnap" (fun path ->
+          List.iter
+            (fun name ->
+              write_file path (with_name name);
+              checkb (name ^ " manifest loads") true (Snapshot.load path = t))
+            [ "functional"; "flat"; "hybrid" ];
+          write_file path (with_name "bytemap");
+          let msg =
+            expect_positioned_failure ~what:"unknown store" (fun () ->
+                Snapshot.load path)
+          in
+          checks "unknown store error"
+            "Snapshot: record 1: unknown backend \"bytemap\"" msg))
+
+(* --- compatibility with earlier builds ------------------------------------ *)
+
+(* [legacy_snapshot/] holds three binary traces and a snapshot an
+   earlier build's [pift serve --prov --shards 2 --snapshot-every 150]
+   wrote mid-run, when its default store was [functional].  Persisted
+   state is canonical range lists, so restoring it on the production
+   store and resuming each source from its cursor must reach the same
+   tenant state as a clean run over the same traces. *)
+let test_legacy_snapshot () =
+  let path = Filename.concat "legacy_snapshot" "engine.piftsnap" in
+  let contains sub s =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  checkb "fixture manifest names the functional store" true
+    (contains "\nfunctional" (read_file path));
+  let snap = Snapshot.load path in
+  let m = snap.Snapshot.manifest in
+  checkb "fixture was taken mid-run" true
+    (List.exists
+       (fun (se : Snapshot.source_entry) -> se.Snapshot.se_cursor > 0)
+       snap.Snapshot.sources);
+  let run ~resume =
+    Engine.with_engine ~shards:1 ~policy:m.Snapshot.m_policy
+      ~pid_range:m.Snapshot.m_pid_range ~with_origins:m.Snapshot.m_with_origins
+      (fun eng ->
+        if resume then Snapshot.restore_tenants eng snap;
+        let sources =
+          List.map
+            (fun (se : Snapshot.source_entry) ->
+              let s =
+                Ingest.of_file ~pid:se.Snapshot.se_pid se.Snapshot.se_path
+              in
+              if resume then Ingest.skip s se.Snapshot.se_cursor;
+              s)
+            snap.Snapshot.sources
+        in
+        Ingest.run eng sources;
+        List.map
+          (fun (se : Snapshot.source_entry) ->
+            Option.get (Admin.snapshot_tenant eng ~pid:se.Snapshot.se_pid))
+          snap.Snapshot.sources)
+  in
+  let clean = run ~resume:false in
+  let resumed = run ~resume:true in
+  checki "tenant count" 3 (List.length resumed);
+  List.iter2
+    (fun (c : Admin.tenant_snapshot) r ->
+      checkb
+        (Printf.sprintf "%s: restored = clean" c.Admin.ts_name)
+        true (tenant_equal c r))
+    clean resumed
+
 (* --- crash / recovery differential ---------------------------------------- *)
 
 (* Uninterrupted reference run at [shards]. *)
@@ -598,9 +698,6 @@ let test_restore_config_mismatch () =
       Engine.with_engine ~shards:2 ~with_origins:true
         ~policy:(Policy.make ~ni:2 ~nt:1 ()) (fun eng ->
           Snapshot.restore_tenants eng snap));
-  refuse ~what:"backend" (fun () ->
-      Engine.with_engine ~shards:2 ~with_origins:true ~backend:Store.Flat
-        (fun eng -> Snapshot.restore_tenants eng snap));
   refuse ~what:"origins" (fun () ->
       Engine.with_engine ~shards:2 ~with_origins:false (fun eng ->
           Snapshot.restore_tenants eng snap));
@@ -644,6 +741,13 @@ let () =
             test_corrupt_wrong_version;
           Alcotest.test_case "non-hex pid record" `Quick
             test_corrupt_non_hex_pid;
+          Alcotest.test_case "legacy store names accepted, unknown refused"
+            `Quick test_store_names;
+        ] );
+      ( "compatibility",
+        [
+          Alcotest.test_case "functional-era snapshot restores to a clean run"
+            `Quick test_legacy_snapshot;
         ] );
       ( "crash-recovery",
         [

@@ -1,17 +1,17 @@
-(* Differential property suite for the pluggable taint-store backends.
+(* Differential property suite for the taint store.
 
-   The four backends — Functional (persistent Range_set), Flat
-   (imperative sorted interval array), Hybrid (flat intervals with
-   promoted dense bit-pages) and Bytemap (bit-per-byte oracle) — must
-   be observationally identical.  Every case drives one random
-   adversarial op sequence (see prop.ml) through all four and compares
-   the full observable state after every single op; a divergence is
-   shrunk to a minimal op sequence and printed with the replay seed.
+   The production store, Flat (imperative sorted interval array), and
+   the two references, Functional (persistent Range_set) and Bytemap
+   (bit-per-byte oracle), must be observationally identical.  Every
+   case drives one random adversarial op sequence (see prop.ml) through
+   all three and compares the full observable state after every single
+   op; a divergence is shrunk to a minimal op sequence and printed with
+   the replay seed.
 
    50 cases x 250 ops plus 10 x 1000 = 22,500 ops per run, well past
    the 10k floor, and the end-to-end test re-renders a DroidBench
-   accuracy sweep under every production backend and byte-compares the
-   output against functional's. *)
+   accuracy sweep on the production store and byte-compares the output
+   against the Functional reference's. *)
 
 module Range = Pift_util.Range
 module Store_backend = Pift_core.Store_backend
@@ -42,7 +42,7 @@ let apply (s : Store_backend.set) = function
 
 (* Fold the sequence through every backend at once; after each op the
    oracle (Bytemap, trivially correct byte-level semantics) and every
-   fast backend must report the same overlap verdict, tainted-byte
+   other backend must report the same overlap verdict, tainted-byte
    total, range count, and sorted canonical range list. *)
 let differential ops =
   let sets =
@@ -235,56 +235,7 @@ let test_store_incremental_totals () =
         steps)
     Store.all_backends
 
-(* --- hybrid promotion / demotion ---------------------------------------- *)
-
-module Store_hybrid = Pift_core.Store_hybrid
-
-(* Crossing half-page occupancy turns a page dense (bit-per-byte);
-   draining below an eighth turns it sparse again.  The canonical
-   observable state must be unchanged by either transition. *)
-let test_hybrid_promotion_demotion () =
-  let h = Store_hybrid.create () in
-  let page = Store_hybrid.page_size h in
-  checki "no dense pages on create" 0 (Store_hybrid.dense_pages h);
-  Store_hybrid.add h (Range.of_len 0 (page / 2));
-  checki "dense after crossing half-page" 1 (Store_hybrid.dense_pages h);
-  checkb "promotion counted" true (Store_hybrid.promotions h >= 1);
-  checki "bytes preserved across promotion" (page / 2)
-    (Store_hybrid.total_bytes h);
-  checki "one canonical range" 1 (Store_hybrid.cardinal h);
-  checkb "ranges canonical" true
-    (Store_hybrid.ranges h = [ Range.of_len 0 (page / 2) ]);
-  checkb "overlap inside dense page" true
-    (Store_hybrid.mem_overlap h (Range.byte 10));
-  checkb "no overlap past the taint" false
-    (Store_hybrid.mem_overlap h (Range.byte (page / 2)));
-  Store_hybrid.remove h (Range.of_len 8 ((page / 2) - 8));
-  checki "demoted on decay" 0 (Store_hybrid.dense_pages h);
-  checkb "demotion counted" true (Store_hybrid.demotions h >= 1);
-  checkb "leftover bytes survive demotion" true
-    (Store_hybrid.ranges h = [ Range.of_len 0 8 ])
-
-(* A dense page and a sparse run meeting exactly at a page boundary are
-   one canonical range — the seam must not show up in cardinal or
-   ranges. *)
-let test_hybrid_page_seam () =
-  let h = Store_hybrid.create () in
-  let page = Store_hybrid.page_size h in
-  Store_hybrid.add h (Range.of_len page page);
-  checkb "full page went dense" true (Store_hybrid.dense_pages h >= 1);
-  Store_hybrid.add h (Range.of_len (page - 4) 4);
-  checki "seam-adjacent runs are one range" 1 (Store_hybrid.cardinal h);
-  checkb "one canonical range across the seam" true
-    (Store_hybrid.ranges h = [ Range.make (page - 4) ((2 * page) - 1) ]);
-  checki "bytes across the seam" (page + 4) (Store_hybrid.total_bytes h);
-  (* removing exactly the seam byte pair splits it back *)
-  Store_hybrid.remove h (Range.make (page - 1) page);
-  checki "cutting the seam splits the range" 2 (Store_hybrid.cardinal h);
-  checkb "split stubs are closed" true
-    (Store_hybrid.ranges h
-    = [ Range.make (page - 4) (page - 2); Range.make (page + 1) ((2 * page) - 1) ])
-
-(* --- end-to-end: DroidBench sweep, byte-identical across backends ------- *)
+(* --- end-to-end: DroidBench sweep, flat vs the functional reference ----- *)
 
 let sweep_output backend =
   let sweep =
@@ -294,24 +245,19 @@ let sweep_output backend =
   (sweep, Format.asprintf "%t" (fun ppf -> Pift_eval.Accuracy.render sweep ppf ()))
 
 let test_sweep_byte_identical () =
-  let functional, functional_out = sweep_output Store.Functional in
-  List.iter
-    (fun backend ->
-      let name s = Store.backend_to_string backend ^ ": " ^ s in
-      let other, other_out = sweep_output backend in
-      checkb (name "confusion cells identical") true
-        (functional.Pift_eval.Accuracy.cells = other.Pift_eval.Accuracy.cells);
-      Alcotest.(check string)
-        (name "rendered sweep byte-identical")
-        functional_out other_out)
-    [ Store.Flat; Store.Hybrid ]
+  let flat, flat_out = sweep_output Store.Flat in
+  let reference, reference_out = sweep_output Store.Functional in
+  checkb "confusion cells identical" true
+    (flat.Pift_eval.Accuracy.cells = reference.Pift_eval.Accuracy.cells);
+  Alcotest.(check string)
+    "rendered sweep byte-identical" reference_out flat_out
 
 let () =
   Alcotest.run "pift_store"
     [
       ( "differential",
         [
-          Alcotest.test_case "functional/flat/hybrid/bytemap agree (12.5k ops)"
+          Alcotest.test_case "flat/functional/bytemap agree (12.5k ops)"
             `Quick test_differential;
           Alcotest.test_case "long sequences (10k ops)" `Quick
             test_differential_long;
@@ -326,13 +272,6 @@ let () =
             test_store_read_purity;
           Alcotest.test_case "incremental totals match recounts" `Quick
             test_store_incremental_totals;
-        ] );
-      ( "hybrid",
-        [
-          Alcotest.test_case "promotion and demotion" `Quick
-            test_hybrid_promotion_demotion;
-          Alcotest.test_case "page-seam canonical form" `Quick
-            test_hybrid_page_seam;
         ] );
       ( "end-to-end",
         [
