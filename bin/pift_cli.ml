@@ -1367,8 +1367,10 @@ let serve_cmd =
   in
   let shards =
     let doc =
-      "Shard count.  Tenants are partitioned across shards by pid range; \
-       per-tenant output is byte-identical at every shard count."
+      "Shard count, and the number of domains the engine runs: the main \
+       domain routes the input and runs shard 0.  Tenants are partitioned \
+       across shards by pid range; per-tenant output is byte-identical at \
+       every shard count."
     in
     Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
   in
@@ -1397,7 +1399,7 @@ let serve_cmd =
   in
   let drop =
     let doc =
-      "Drop batches instead of blocking the producer when a shard queue is \
+      "Drop batches instead of blocking the router when a shard queue is \
        full (lossy; dropped items are reported on stderr)."
     in
     Arg.(value & flag & info [ "drop-when-full" ] ~doc)

@@ -391,8 +391,9 @@ let rd_varint = Wire.Reader.varint
 
 (* Pull-side decoder state: the chunk reader plus the record counter and
    the delta baselines.  The decode helpers are top-level functions over
-   this record — no per-record closure allocation, same as the old
-   hoisted-closure loop, but usable one record at a time. *)
+   this record and [br_fail] is built once per reader (it reads
+   [br_record] when it fires), so decoding a record allocates only the
+   item itself. *)
 type bin_reader = {
   br_rd : rd;
   mutable br_record : int;
@@ -401,24 +402,22 @@ type bin_reader = {
   mutable br_prev_lo : int;
   mutable br_pos : int;  (* next payload byte *)
   mutable br_limit : int;  (* end of current payload *)
+  br_fail : 'a. string -> 'a;  (* fails with the current record number *)
 }
 
-let br_fail br msg = fail_record br.br_record msg
-
-let br_varint br =
-  let rec go shift acc =
-    if br.br_pos >= br.br_limit then br_fail br "truncated record payload"
+let rec br_varint_rest br shift acc =
+  if br.br_pos >= br.br_limit then br.br_fail "truncated record payload"
+  else begin
+    let b = Char.code (Bytes.unsafe_get br.br_rd.Wire.Reader.buf br.br_pos) in
+    br.br_pos <- br.br_pos + 1;
+    if shift > 56 && b > 0x7f then br.br_fail "varint overflow"
     else begin
-      let b = Char.code (Bytes.unsafe_get br.br_rd.Wire.Reader.buf br.br_pos) in
-      br.br_pos <- br.br_pos + 1;
-      if shift > 56 && b > 0x7f then br_fail br "varint overflow"
-      else begin
-        let acc = acc lor ((b land 0x7f) lsl shift) in
-        if b < 0x80 then acc else go (shift + 7) acc
-      end
+      let acc = acc lor ((b land 0x7f) lsl shift) in
+      if b < 0x80 then acc else br_varint_rest br (shift + 7) acc
     end
-  in
-  go 0 0
+  end
+
+let br_varint br = br_varint_rest br 0 0
 
 let br_svarint br = unzigzag (br_varint br)
 
@@ -428,11 +427,11 @@ let br_seq br =
 
 let br_range br =
   br.br_prev_lo <- br.br_prev_lo + br_svarint br;
-  range_of_len (br_fail br) br.br_prev_lo (br_varint br)
+  range_of_len br.br_fail br.br_prev_lo (br_varint br)
 
 let br_kind br =
   let klen = br_varint br in
-  if klen < 0 || br.br_pos + klen > br.br_limit then br_fail br "truncated kind";
+  if klen < 0 || br.br_pos + klen > br.br_limit then br.br_fail "truncated kind";
   let s = Bytes.sub_string br.br_rd.Wire.Reader.buf br.br_pos klen in
   br.br_pos <- br.br_pos + klen;
   s
@@ -455,7 +454,7 @@ let bin_open ic =
   rd.Wire.Reader.lo <- rd.Wire.Reader.lo + name_len;
   let h_pid = rd_varint fail0 rd in
   let h_bytecodes = rd_varint fail0 rd in
-  ( { h_name; h_pid; h_bytecodes },
+  let rec br =
     {
       br_rd = rd;
       br_record = 0;
@@ -464,17 +463,38 @@ let bin_open ic =
       br_prev_lo = 0;
       br_pos = 0;
       br_limit = 0;
-    } )
+      br_fail = (fun msg -> fail_record br.br_record msg);
+    }
+  in
+  ({ h_name; h_pid; h_bytecodes }, br)
+
+(* The record's payload length.  Almost every record is shorter than
+   128 bytes, so a one-byte prefix that is already buffered is read in
+   place; anything else goes through the general varint reader. *)
+let bin_length br =
+  let rd = br.br_rd in
+  let lo = rd.Wire.Reader.lo in
+  let b =
+    if lo < rd.Wire.Reader.hi then Char.code (Bytes.unsafe_get rd.Wire.Reader.buf lo)
+    else 0x80
+  in
+  if b < 0x80 then begin
+    rd.Wire.Reader.lo <- lo + 1;
+    b
+  end
+  else rd_varint ~first_eof_ok:true br.br_fail rd
 
 (* One record per pull; [None] only on EOF exactly at a record boundary,
    anything else fails with the record number. *)
 let bin_next br =
   let rd = br.br_rd in
-  match rd_varint ~first_eof_ok:true (fail_record (br.br_record + 1)) rd with
-  | exception End_of_file -> None
+  br.br_record <- br.br_record + 1;
+  match bin_length br with
+  | exception End_of_file ->
+      br.br_record <- br.br_record - 1;
+      None
   | len ->
-      br.br_record <- br.br_record + 1;
-      let fail msg = br_fail br msg in
+      let fail = br.br_fail in
       if len <= 0 then fail "empty record";
       if len > max_record_payload then fail "implausible record length";
       if not (rd_has rd len) then

@@ -39,7 +39,7 @@ type shard = {
   sh_tenants : (int, tenant) Hashtbl.t;
   sh_registry : Registry.t;
   sh_telemetry : Telemetry.t option;
-  mutable sh_queue : item Spsc.t;  (* fresh per run *)
+  mutable sh_queue : item Spsc.t;  (* fresh per run; shard 0's stays empty *)
   (* registry cells *)
   sh_c_items : Counter.t;
   sh_c_events : Counter.t;
@@ -74,11 +74,11 @@ type t = {
   pool : Pool.t;
   shard_arr : shard array;
   mutable closed : bool;
-  (* Fault injection for the crash-recovery tests: the consumer of
-     [fault_shard] raises after processing [fault_after] more items,
-     exercising the Spsc abort path exactly as a real consumer death
-     would.  Armed while idle; only that shard's consumer reads and
-     disarms it during a run. *)
+  (* Fault injection for the crash-recovery tests: shard [fault_shard]
+     raises after processing [fault_after] more items — on slot 0 for
+     shard 0, otherwise in its consumer, exercising the Spsc abort path
+     exactly as a real consumer death would.  Armed while idle; only
+     that shard's step disarms it during a run. *)
   mutable fault_shard : int;
   mutable fault_after : int;  (* negative = disarmed *)
 }
@@ -148,9 +148,10 @@ let create ?(shards = 1) ?(policy = Policy.default) ?(queue_capacity = 64)
   in
   {
     cfg;
-    (* One pool slot per shard consumer plus slot 0 for the ingest
-       producer; [Pool.run_job] hands each role exactly one call. *)
-    pool = Pool.create ~jobs:(shards + 1) ();
+    (* One pool slot per shard: slot 0 (the calling domain) routes the
+       stream and runs shard 0, slot [i] consumes shard [i]'s queue;
+       [Pool.run_job] hands each role exactly one call. *)
+    pool = Pool.create ~jobs:shards ();
     shard_arr = Array.init shards (make_shard ~telemetry_capacity);
     closed = false;
     fault_shard = 0;
@@ -270,11 +271,36 @@ let pid_of_item = function
   | I_evict { pid } ->
       pid
 
-(* Ingest producer (pool slot 0): route each item to its shard's local
-   batch buffer, push full batches through the bounded queue, close all
-   queues at end of stream — also on failure, so shard consumers always
-   see end-of-stream and the pool join cannot deadlock on a producer
-   exception. *)
+exception Injected_fault of int
+
+let inject_fault t ~shard ~after_items =
+  if shard < 0 || shard >= t.cfg.shards then
+    invalid_arg "Engine.inject_fault: no such shard";
+  if after_items < 0 then
+    invalid_arg "Engine.inject_fault: after_items must be non-negative";
+  t.fault_shard <- shard;
+  t.fault_after <- after_items
+
+(* The per-item step every shard runs, inline on slot 0 for shard 0 and
+   off the queue for the others: the armed fault (only the faulting
+   shard reads and disarms it), the telemetry tick, then the item. *)
+let step t sh item =
+  if t.fault_after >= 0 && t.fault_shard = sh.sh_id then begin
+    if t.fault_after = 0 then begin
+      t.fault_after <- -1;
+      raise (Injected_fault sh.sh_id)
+    end;
+    t.fault_after <- t.fault_after - 1
+  end;
+  (match sh.sh_telemetry with None -> () | Some te -> Telemetry.bump te);
+  process_item t sh item
+
+(* Slot 0: pull the stream, process shard 0's items inline, and batch
+   the rest into their shards' bounded queues.  The queues close on the
+   way out — also on failure (a stream error or shard 0's own fault), so
+   consumers always see end-of-stream and the pool join cannot deadlock.
+   With one shard every item takes the inline branch and nothing is
+   queued. *)
 let produce t stream =
   let n = t.cfg.shards in
   let dummy = I_evict { pid = min_int } in
@@ -292,7 +318,7 @@ let produce t stream =
   in
   Fun.protect
     ~finally:(fun () ->
-      for i = 0 to n - 1 do
+      for i = 1 to n - 1 do
         flush i;
         Spsc.close t.shard_arr.(i).sh_queue
       done)
@@ -303,27 +329,20 @@ let produce t stream =
         | Some item ->
             let sh = shard_of t (pid_of_item item) in
             let i = sh.sh_id in
-            bufs.(i).(fills.(i)) <- item;
-            fills.(i) <- fills.(i) + 1;
-            if fills.(i) = t.cfg.batch then flush i;
+            if i = 0 then step t sh item
+            else begin
+              bufs.(i).(fills.(i)) <- item;
+              fills.(i) <- fills.(i) + 1;
+              if fills.(i) = t.cfg.batch then flush i
+            end;
             go ()
       in
       go ())
 
-(* Shard consumer (pool slot 1 + shard id): drain the queue batch by
-   batch until closed.  A consumer failure aborts its queue first, so
-   the producer can never block against it, then propagates through the
-   pool join. *)
-exception Injected_fault of int
-
-let inject_fault t ~shard ~after_items =
-  if shard < 0 || shard >= t.cfg.shards then
-    invalid_arg "Engine.inject_fault: no such shard";
-  if after_items < 0 then
-    invalid_arg "Engine.inject_fault: after_items must be non-negative";
-  t.fault_shard <- shard;
-  t.fault_after <- after_items
-
+(* Consumer of shard [sh] >= 1 (pool slot [sh]): drain the queue batch
+   by batch until closed.  A consumer failure aborts its queue first,
+   so the router can never block against it, then propagates through
+   the pool join. *)
 let consume t sh =
   let q = sh.sh_queue in
   try
@@ -333,20 +352,7 @@ let consume t sh =
       | Some batch ->
           sh.sh_batches <- sh.sh_batches + 1;
           Counter.incr sh.sh_c_batches;
-          Array.iter
-            (fun item ->
-              if t.fault_after >= 0 && t.fault_shard = sh.sh_id then begin
-                if t.fault_after = 0 then begin
-                  t.fault_after <- -1;
-                  raise (Injected_fault sh.sh_id)
-                end;
-                t.fault_after <- t.fault_after - 1
-              end;
-              (match sh.sh_telemetry with
-              | None -> ()
-              | Some te -> Telemetry.bump te);
-              process_item t sh item)
-            batch;
+          Array.iter (step t sh) batch;
           Gauge.set sh.sh_g_queue (Spsc.length q);
           go ()
     in
@@ -357,7 +363,8 @@ let consume t sh =
 
 let run t stream =
   if t.closed then invalid_arg "Engine.run: engine is shut down";
-  (* Fresh queues per run: the previous run closed them. *)
+  (* Fresh queues per run: the previous run closed them.  Shard 0's is
+     never pushed, so its tallies stay zero. *)
   Array.iter
     (fun sh -> sh.sh_queue <- Spsc.create ~capacity:t.cfg.queue_capacity ())
     t.shard_arr;
@@ -380,7 +387,7 @@ let run t stream =
     (fun () ->
       Pool.run_job t.pool (fun ~worker ->
           if worker = 0 then produce t stream
-          else consume t t.shard_arr.(worker - 1)))
+          else consume t t.shard_arr.(worker)))
 
 let shutdown t =
   if not t.closed then begin

@@ -1,10 +1,13 @@
 (** The long-lived multi-tenant taint engine.
 
-    One engine owns [shards] shard states, each pinned to one pool
-    worker slot.  A shard holds its resident tenants — one pid, one
-    private {!Pift_core.Tracker} stack (store + optional provenance
-    sidecar) — plus a per-shard metrics registry, optional telemetry
-    ring, and the bounded queue its consumer drains during a {!run}.
+    One engine owns [shards] shard states and a pool of [shards]
+    workers, shard [i] pinned to slot [i].  Slot 0 is the calling
+    domain: during a {!run} it pulls the stream, routes every item, and
+    processes shard 0's items inline; shards 1..[shards]-1 each drain a
+    bounded queue on their own slot.  A shard holds its resident
+    tenants — one pid, one private {!Pift_core.Tracker} stack (store +
+    optional provenance sidecar) — plus a per-shard metrics registry
+    and optional telemetry ring.
 
     {b Sharding.}  Pids are partitioned by contiguous range:
     [shard_of pid = (pid / pid_range) mod shards].  Routing is pure
@@ -12,14 +15,16 @@
     state exists.
 
     {b Determinism.}  Because every tenant owns a private tracker and
-    items of one pid are routed to one shard through a FIFO queue in
-    stream order, the per-tenant verdicts, origin sets, and stats after
+    items of one pid are routed to one shard and processed there in
+    stream order (inline on shard 0, through a FIFO queue elsewhere),
+    the per-tenant verdicts, origin sets, and stats after
     an interleaved run are byte-identical to replaying each tenant's
     stream in isolation — at any shard count.  The differential harness
     ([test_service], the CI serve leg) enforces this.
 
     {b Concurrency contract.}  {!run} is the only concurrent region:
-    slot 0 produces, slots 1..shards consume, and the pool join fences
+    slot 0 routes and runs shard 0, slots 1..shards-1 consume their
+    queues, and the pool join fences
     all shard state before returning.  Every other function (the admin
     API, {!stats}, {!snapshot_tenant}) must be called while the engine
     is idle — between runs, from the owning domain. *)
@@ -49,29 +54,32 @@ val create :
   ?telemetry_capacity:int ->
   unit ->
   t
-(** [shards] (default 1) sets the shard count and spawns a pool of
-    [shards + 1] workers (slot 0 is the ingest producer).  [policy]
-    configures every tenant tracker, each on its own production
-    [Flat] store.  [queue_capacity]
-    (default 64) bounds each shard queue in {e batches} of [batch]
-    (default 128) items.  [pid_range] (default [2{^20}]) is the width
-    of the contiguous pid blocks mapped to one shard.
-    [drop_when_full:true] switches backpressure from blocking the
-    producer to dropping batches (counted per shard, surfaced in
-    {!stats} and metrics).  [with_origins] threads a provenance sidecar
+(** [shards] (default 1) sets the shard count and builds a pool of
+    [shards] workers: the calling domain is slot 0 and runs shard 0,
+    so [~shards:1] spawns no domain.  [policy] configures every tenant
+    tracker, each on its own production [Flat] store.
+    [queue_capacity] (default 64) bounds each queued shard's queue in
+    {e batches} of [batch] (default 128) items.  [pid_range] (default
+    [2{^20}]) is the width of the contiguous pid blocks mapped to one
+    shard.  [drop_when_full:true] switches backpressure from blocking
+    the router to dropping batches (counted per shard, surfaced in
+    {!stats} and metrics).  [queue_capacity], [batch] and
+    [drop_when_full] apply only to shards 1 and up: shard 0 has no
+    queue, reports 0 batches and never drops.  [with_origins] threads a provenance sidecar
     through every tenant so sink verdicts carry origin sets.
     [telemetry_capacity > 0] attaches one telemetry ring per shard
     (sources: tainted bytes, tenant count, queue depth; bumped once per
     consumed item). *)
 
 val run : t -> stream -> unit
-(** Drain [stream] to completion: route every item to its pid's shard,
-    push batches through the bounded queues, process them on the shard
-    consumers.  Fresh queues per run; on any failure (producer or
-    consumer) the queues are closed/aborted so no domain wedges, and
-    the first exception re-raises here after all workers drain.
-    Tenants are created on first touch and survive across runs until
-    evicted. *)
+(** Drain [stream] to completion on the calling domain: route every
+    item to its pid's shard, process shard 0's items right there, and
+    push the other shards' items in batches through their bounded
+    queues to their consumers.  Fresh queues per run; on any failure
+    (the stream, shard 0's step, or a consumer) the queues are
+    closed/aborted so no domain wedges, and the first exception
+    re-raises here after all workers drain.  Tenants are created on
+    first touch and survive across runs until evicted. *)
 
 val shutdown : t -> unit
 (** Join the pool domains.  Idempotent; {!run} refuses afterwards
@@ -177,19 +185,20 @@ exception Injected_fault of int
 (** Carries the faulting shard id. *)
 
 val inject_fault : t -> shard:int -> after_items:int -> unit
-(** Arm (engine-idle) a one-shot fault: during the next {!run}, the
-    consumer of [shard] raises {!Injected_fault} after processing
-    [after_items] more items.  This drives the production failure path
-    — the dying consumer aborts its queue so the producer cannot block
-    against it, every queue closes, and {!run} re-raises the fault
-    after the pool drains.  The engine survives: admin calls and
-    further runs still work, exactly like any consumer death. *)
+(** Arm (engine-idle) a one-shot fault: during the next {!run},
+    [shard] raises {!Injected_fault} after processing [after_items]
+    more items.  This drives the production failure paths: shard 0's
+    fault unwinds the router, which closes every queue; a queued
+    shard's consumer aborts its queue so the router cannot block
+    against it.  Either way {!run} re-raises the fault after the pool
+    drains.  The engine survives: admin calls and further runs still
+    work, exactly like any consumer death. *)
 
 type shard_stats = {
   ss_shard : int;
   ss_items : int;
   ss_events : int;
-  ss_batches : int;
+  ss_batches : int;  (** queue batches consumed; always 0 on shard 0 *)
   ss_dropped : int;  (** items lost to the dropping policy, all runs *)
   ss_max_queue_depth : int;  (** peak queued batches, all runs *)
   ss_tenants : int;

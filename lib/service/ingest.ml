@@ -78,51 +78,92 @@ let to_engine_item s (item : Recorded.item) : Engine.item =
   | Recorded.Item_marker (_, Recorded.Sink { kind; ranges }) ->
       Engine.I_sink { pid = s.src_pid; kind; ranges }
 
+let item_seq = function
+  | Recorded.Item_event e -> e.Event.seq
+  | Recorded.Item_marker (seq, _) -> seq
+
 (* Deterministic interleave of the per-source streams: repeatedly emit
-   the head with the smallest (seq, source index) — strict [<] on seq,
-   so the earlier-listed source wins ties.  Only {e head} order across
-   sources is decided here; within one source the items come out in
-   stream order, which is all per-tenant determinism needs.  The seq of
-   a marker is its recorded occurrence seq, so markers compete in the
-   same time axis as events. *)
+   the head with the smallest (seq, source index), so the earlier-listed
+   source wins ties.  Only {e head} order across sources is decided
+   here; within one source the items come out in stream order, which is
+   all per-tenant determinism needs.  The seq of a marker is its
+   recorded occurrence seq, so markers compete in the same time axis as
+   events.
+
+   The live sources sit in a binary min-heap of source indices keyed on
+   their head's (seq, index).  Reads happen exactly when the plain
+   all-heads scan would make them: the first pull fills every source in
+   index order, and after that only the source just emitted is refilled,
+   lazily, at the next pull.  It is still the heap's root then, so the
+   refill is one sift-down (or a removal when the source has ended).
+   A read that raises leaves the state as it was, so a retry re-reads
+   the same source. *)
 let merge sources : Engine.stream =
   let srcs = Array.of_list sources in
   let n = Array.length srcs in
-  let heads = Array.make n None in
-  let live = Array.make n (n > 0) in
-  let item_seq = function
-    | Recorded.Item_event e -> e.Event.seq
-    | Recorded.Item_marker (seq, _) -> seq
+  let dummy = Recorded.Item_marker (0, Recorded.Sink { kind = ""; ranges = [] }) in
+  let heads = Array.make n dummy in
+  let seqs = Array.make n 0 in
+  let heap = Array.make n 0 in
+  let size = ref 0 in
+  let filled = ref 0 in  (* sources 0 .. filled-1 have had their first read *)
+  let emitted = ref false in  (* the root's head went out; refill first *)
+  let before i j = seqs.(i) < seqs.(j) || (seqs.(i) = seqs.(j) && i < j) in
+  let rec sift_down k =
+    let l = (2 * k) + 1 in
+    if l < !size then begin
+      let r = l + 1 in
+      let c = if r < !size && before heap.(r) heap.(l) then r else l in
+      if before heap.(c) heap.(k) then begin
+        let x = heap.(k) in
+        heap.(k) <- heap.(c);
+        heap.(c) <- x;
+        sift_down c
+      end
+    end
   in
-  let fill i =
-    if live.(i) && heads.(i) = None then begin
-      match srcs.(i).src_next () with
-      | Some it -> heads.(i) <- Some it
-      | None -> live.(i) <- false
+  let rec sift_up k =
+    if k > 0 then begin
+      let p = (k - 1) / 2 in
+      if before heap.(k) heap.(p) then begin
+        let x = heap.(k) in
+        heap.(k) <- heap.(p);
+        heap.(p) <- x;
+        sift_up p
+      end
     end
   in
   fun () ->
-    for i = 0 to n - 1 do
-      fill i
-    done;
-    let best = ref (-1) and best_seq = ref max_int in
-    for i = 0 to n - 1 do
-      match heads.(i) with
-      | None -> ()
+    while !filled < n do
+      let i = !filled in
+      (match srcs.(i).src_next () with
       | Some it ->
-          let seq = item_seq it in
-          if !best < 0 || seq < !best_seq then begin
-            best := i;
-            best_seq := seq
-          end
+          heads.(i) <- it;
+          seqs.(i) <- item_seq it;
+          heap.(!size) <- i;
+          incr size;
+          sift_up (!size - 1)
+      | None -> ());
+      incr filled
     done;
-    if !best < 0 then None
+    if !emitted then begin
+      let i = heap.(0) in
+      (match srcs.(i).src_next () with
+      | Some it ->
+          heads.(i) <- it;
+          seqs.(i) <- item_seq it
+      | None ->
+          decr size;
+          heap.(0) <- heap.(!size));
+      emitted := false;
+      sift_down 0
+    end;
+    if !size = 0 then None
     else begin
-      let i = !best in
-      let it = Option.get heads.(i) in
-      heads.(i) <- None;
+      let i = heap.(0) in
+      emitted := true;
       srcs.(i).src_emitted <- srcs.(i).src_emitted + 1;
-      Some (to_engine_item srcs.(i) it)
+      Some (to_engine_item srcs.(i) heads.(i))
     end
 
 let run ?segment ?on_idle engine sources =

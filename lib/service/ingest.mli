@@ -40,7 +40,14 @@ val merge : source list -> Engine.stream
     [(seq, source index)] — ties on seq go to the earlier-listed
     source.  Per-source item order is preserved, so each tenant sees
     exactly its own stream in order; the cross-tenant schedule is fixed
-    by the inputs alone, never by thread timing. *)
+    by the inputs alone, never by thread timing.
+
+    The heads sit in a binary min-heap keyed on [(seq, source index)],
+    so a pull costs O(log sources).  Each source holds at most one
+    prefetched head: the first pull reads every source once in list
+    order, and a source whose head was emitted is refilled lazily, at
+    the next pull.  A read that raises propagates from the pull that
+    made it and leaves the merge as it was. *)
 
 val cursor : source -> int
 (** Ingest cursor: items emitted to the engine so far (plus any

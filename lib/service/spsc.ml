@@ -1,6 +1,7 @@
 (* Bounded single-producer single-consumer batch queue: the link between
-   the engine's ingest front (pool slot 0) and one shard consumer.  The
-   unit of transfer is a batch (an array of items), so the mutex is
+   the engine's router (pool slot 0) and the consumer of one shard
+   other than shard 0, which the router runs inline without a queue.
+   The unit of transfer is a batch (an array of items), so the mutex is
    taken once per batch, not per event.
 
    Backpressure is the producer's choice per push: block until the

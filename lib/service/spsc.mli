@@ -1,5 +1,6 @@
 (** Bounded single-producer single-consumer batch queue — the channel
-    between the engine's ingest front and one shard consumer.
+    between the engine's router and the consumer of one shard other
+    than shard 0 (which the router runs inline).
 
     The transfer unit is a batch (array of items): one mutex round-trip
     amortised over the whole batch.  Capacity is counted in batches.

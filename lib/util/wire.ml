@@ -72,22 +72,24 @@ module Reader = struct
       b
     end
 
+  (* Continuation bytes of a varint whose low [shift] bits are [acc].
+     Top-level, like [varint] below, so decoding allocates nothing. *)
+  let rec varint_rest fail r shift acc =
+    match byte r with
+    | -1 -> fail "truncated varint"
+    | b ->
+        if shift > 56 && b > 0x7f then fail "varint overflow"
+        else begin
+          let acc = acc lor ((b land 0x7f) lsl shift) in
+          if b < 0x80 then acc else varint_rest fail r (shift + 7) acc
+        end
+
   (* Header fields and record length prefixes.  [first_eof_ok]
      distinguishes the clean end of the stream (EOF where a record
      would start) from truncation inside a varint.  Varints are capped
      at 9 bytes (63 value bits) so corrupt input cannot loop. *)
   let varint ?(first_eof_ok = false) fail r =
-    let rec go shift acc first =
-      match byte r with
-      | -1 ->
-          if first && first_eof_ok then raise End_of_file
-          else fail "truncated varint"
-      | b ->
-          if shift > 56 && b > 0x7f then fail "varint overflow"
-          else begin
-            let acc = acc lor ((b land 0x7f) lsl shift) in
-            if b < 0x80 then acc else go (shift + 7) acc false
-          end
-    in
-    go 0 0 true
+    match byte r with
+    | -1 -> if first_eof_ok then raise End_of_file else fail "truncated varint"
+    | b -> if b < 0x80 then b else varint_rest fail r 7 (b land 0x7f)
 end

@@ -625,20 +625,36 @@ let test_crash_recovery_reshard () =
 
 (* The engine survives an injected fault: the abort path must leave it
    usable for admin reads and further runs (that is what the restore
-   tooling leans on). *)
+   tooling leans on).  Shard 0 runs inline on the routing domain, so
+   its fault unwinds the router itself; a queued shard's fault aborts
+   its queue while the router keeps going.  Both must surface the armed
+   shard's fault and neither may hang. *)
 let test_engine_survives_fault () =
-  run_engine ~shards:2 (fun eng sources ->
-      Engine.inject_fault eng ~shard:0 ~after_items:40;
-      (match Ingest.run eng sources with
-      | () -> Alcotest.fail "expected injected fault"
-      | exception Engine.Injected_fault _ -> ());
-      ignore (Admin.stats eng);
-      (* a fresh run on the same engine still works *)
-      let r = List.hd (Lazy.force recordings) in
-      let pid = Ingest.tenant_pid 9 in
-      Ingest.run eng [ Ingest.of_recorded ~pid r ];
-      checkb "post-fault ingest works" true
-        (Admin.snapshot_tenant eng ~pid <> None))
+  List.iter
+    (fun (shards, shard) ->
+      let label what = Printf.sprintf "shards=%d fault=%d: %s" shards shard what in
+      run_engine ~shards (fun eng sources ->
+          Engine.inject_fault eng ~shard ~after_items:40;
+          (match Ingest.run eng sources with
+          | () -> Alcotest.fail (label "expected injected fault")
+          | exception Engine.Injected_fault sh ->
+              checki (label "fault from armed shard") shard sh);
+          let st = Admin.stats eng in
+          checki (label "shard stats listed") shards
+            (List.length st.Admin.st_shards);
+          ignore (Admin.tenants eng);
+          ignore (Admin.query_sink eng ~pid:(Ingest.tenant_pid 0) [ Range.make 0 7 ]);
+          (* a fresh run on the same engine still works, on every shard *)
+          let r = List.hd (Lazy.force recordings) in
+          let pids = [ Ingest.tenant_pid 8; Ingest.tenant_pid 9 ] in
+          Ingest.run eng
+            (List.map (fun pid -> Ingest.of_recorded ~pid r) pids);
+          List.iter
+            (fun pid ->
+              checkb (label "post-fault ingest works") true
+                (Admin.snapshot_tenant eng ~pid <> None))
+            pids))
+    [ (1, 0); (2, 0); (2, 1) ]
 
 (* --- restore / evict occupancy -------------------------------------------- *)
 

@@ -17,6 +17,8 @@ module Pool = Pift_par.Pool
 module Droidbench = Pift_workloads.Droidbench
 module Recorded = Pift_eval.Recorded
 module Trace_io = Pift_eval.Trace_io
+module Event = Pift_trace.Event
+module Insn = Pift_arm.Insn
 module Spsc = Pift_service.Spsc
 module Engine = Pift_service.Engine
 module Ingest = Pift_service.Ingest
@@ -243,6 +245,212 @@ let test_drop_policy_accounting () =
       in
       checki "processed + dropped = streamed" total_items
         (st.Admin.st_items + st.Admin.st_dropped))
+
+(* Shard 0 runs inline on the routing domain and has no queue, so a
+   one-shard engine cannot drop, batch or queue anything even with the
+   dropping policy and one-item batches. *)
+let test_inline_shard_never_drops () =
+  let recs = Lazy.force recordings in
+  Engine.with_engine ~shards:1 ~policy:Policy.default ~queue_capacity:1
+    ~batch:1 ~drop_when_full:true (fun eng ->
+      let sources =
+        List.mapi (fun i r -> Ingest.of_recorded ~pid:(Ingest.tenant_pid i) r) recs
+      in
+      Ingest.run eng sources;
+      let st = Admin.stats eng in
+      let total_items =
+        List.fold_left
+          (fun acc (r : Recorded.t) ->
+            acc + Pift_trace.Trace.length r.Recorded.trace
+            + Array.length r.Recorded.markers)
+          0 recs
+      in
+      checki "nothing dropped" 0 st.Admin.st_dropped;
+      checki "every item processed" total_items st.Admin.st_items;
+      checki "no batches" 0 st.Admin.st_batches;
+      checki "no queue depth" 0
+        (List.hd st.Admin.st_shards).Admin.ss_max_queue_depth)
+
+(* --- merge: heap = all-heads scan ----------------------------------------- *)
+
+(* The all-heads scan [Ingest.merge] used before its heap, kept as the
+   oracle: every pull refills each empty live head in index order, then
+   scans all heads for the smallest (seq, index). *)
+let scan_merge sources : Engine.stream =
+  let srcs = Array.of_list sources in
+  let n = Array.length srcs in
+  let heads = Array.make n None in
+  let live = Array.make n (n > 0) in
+  let item_seq = function
+    | Recorded.Item_event e -> e.Event.seq
+    | Recorded.Item_marker (seq, _) -> seq
+  in
+  let fill i =
+    if live.(i) && heads.(i) = None then begin
+      match srcs.(i).Ingest.src_next () with
+      | Some it -> heads.(i) <- Some it
+      | None -> live.(i) <- false
+    end
+  in
+  fun () ->
+    for i = 0 to n - 1 do
+      fill i
+    done;
+    let best = ref (-1) and best_seq = ref max_int in
+    for i = 0 to n - 1 do
+      match heads.(i) with
+      | None -> ()
+      | Some it ->
+          let seq = item_seq it in
+          if !best < 0 || seq < !best_seq then begin
+            best := i;
+            best_seq := seq
+          end
+    done;
+    if !best < 0 then None
+    else begin
+      let i = !best in
+      let it = Option.get heads.(i) in
+      heads.(i) <- None;
+      let s = srcs.(i) in
+      s.Ingest.src_emitted <- s.Ingest.src_emitted + 1;
+      Some (Ingest.to_engine_item s it)
+    end
+
+(* One generated case: per source, its items as (seq, shape) with shape
+   0 = event, 1 = source marker, 2 = sink marker; optionally one source
+   whose [k+1]-th read raises (once — the read after it succeeds). *)
+type merge_case = {
+  mc_sources : (int * int) list list;
+  mc_fail : (int * int) option;  (* (source, k) *)
+}
+
+exception Read_failed of int
+
+let merge_item (seq, shape) =
+  match shape with
+  | 0 ->
+      Recorded.Item_event
+        { Event.seq; k = seq; pid = 7; insn = Insn.Nop; access = Event.Other }
+  | 1 ->
+      Recorded.Item_marker
+        (seq, Recorded.Source { kind = "src"; range = Range.make seq (seq + 3) })
+  | _ ->
+      Recorded.Item_marker
+        (seq, Recorded.Sink { kind = "snk"; ranges = [ Range.make 0 seq ] })
+
+(* Fresh sources for one case, plus each source's read counter. *)
+let merge_sources c =
+  List.mapi
+    (fun i items ->
+      let rest = ref (List.map merge_item items) and reads = ref 0 in
+      let next () =
+        incr reads;
+        if c.mc_fail = Some (i, !reads - 1) then raise (Read_failed i);
+        match !rest with
+        | [] -> None
+        | x :: tl ->
+            rest := tl;
+            Some x
+      in
+      ( {
+          Ingest.src_name = Printf.sprintf "s%d" i;
+          src_path = None;
+          src_pid = Ingest.tenant_pid i;
+          src_orig_pid = 7;
+          src_next = next;
+          src_close = ignore;
+          src_emitted = 0;
+        },
+        reads ))
+    c.mc_sources
+
+let gen_merge_case rng =
+  let module Rng = Pift_util.Rng in
+  let nsrc = Rng.int rng 6 in
+  let sources =
+    List.init nsrc (fun _ ->
+        let len = if Rng.int rng 4 = 0 then 0 else Rng.int_in rng 1 12 in
+        (* seqs from a narrow band so ties across (and within) sources
+           are common *)
+        List.init len (fun _ -> (Rng.int rng 16, Rng.int rng 3)))
+  in
+  let fail =
+    if nsrc = 0 || Rng.int rng 3 > 0 then None
+    else begin
+      let s = Rng.int rng nsrc in
+      Some (s, Rng.int_in rng 0 (List.length (List.nth sources s)))
+    end
+  in
+  { mc_sources = sources; mc_fail = fail }
+
+let merge_case_to_string c =
+  Printf.sprintf "fail=%s sources=[%s]"
+    (match c.mc_fail with
+    | None -> "none"
+    | Some (s, k) -> Printf.sprintf "source %d read %d" s (k + 1))
+    (String.concat "; "
+       (List.map
+          (fun items ->
+            String.concat ","
+              (List.map (fun (seq, sh) -> Printf.sprintf "%d/%d" seq sh) items))
+          c.mc_sources))
+
+(* Drive the heap merge and the scan oracle in lockstep: every pull must
+   give the same item (or the same read failure), every source the same
+   cursor and the same number of reads; end of stream must stick. *)
+let merge_agrees c =
+  let heap_srcs = merge_sources c and scan_srcs = merge_sources c in
+  let heap = Ingest.merge (List.map fst heap_srcs)
+  and scan = scan_merge (List.map fst scan_srcs) in
+  let pull m = match m () with v -> Ok v | exception Read_failed i -> Error i in
+  let state srcs =
+    List.map (fun (s, reads) -> (Ingest.cursor s, !reads)) srcs
+  in
+  let total = List.fold_left (fun a l -> a + List.length l) 0 c.mc_sources in
+  let rec go k ended =
+    if k > total + 3 then Error "stream did not end"
+    else begin
+      let a = pull heap and b = pull scan in
+      if a <> b then Error (Printf.sprintf "pull %d: items differ" k)
+      else if state heap_srcs <> state scan_srcs then
+        Error (Printf.sprintf "pull %d: cursors or reads differ" k)
+      else
+        match a with
+        | Ok None -> if ended then Ok () else go (k + 1) true
+        | _ when ended -> Error (Printf.sprintf "pull %d: output after end" k)
+        | _ -> go (k + 1) false
+    end
+  in
+  go 1 false
+
+let test_merge_heap_equals_scan () =
+  Prop.check_gen ~name:"heap merge = scan merge" ~count:500
+    ~gen:gen_merge_case
+    ~shrink:(fun _ -> [])
+    ~to_string:merge_case_to_string merge_agrees
+
+(* The fixed edge cases, independent of the generator's draw. *)
+let test_merge_edge_cases () =
+  List.iter
+    (fun c ->
+      match merge_agrees c with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "%s: %s" (merge_case_to_string c) m)
+    [
+      { mc_sources = []; mc_fail = None };
+      { mc_sources = [ [] ]; mc_fail = None };
+      { mc_sources = [ [ (3, 0); (1, 1); (2, 2) ] ]; mc_fail = None };
+      { mc_sources = [ []; [ (0, 0) ]; [] ]; mc_fail = None };
+      (* all-tie heads: index order decides, marker or not *)
+      { mc_sources = [ [ (5, 1); (5, 0) ]; [ (5, 2) ]; [ (5, 0); (5, 0) ] ];
+        mc_fail = None };
+      (* a failing first read, a failing refill, a failing end-of-stream read *)
+      { mc_sources = [ [ (1, 0) ]; [ (0, 0) ] ]; mc_fail = Some (1, 0) };
+      { mc_sources = [ [ (1, 0); (2, 0) ]; [ (0, 0); (4, 0) ] ];
+        mc_fail = Some (1, 1) };
+      { mc_sources = [ [ (1, 0) ]; [ (0, 0) ] ]; mc_fail = Some (0, 1) };
+    ]
 
 (* --- tenant lifecycle ----------------------------------------------------- *)
 
@@ -489,6 +697,33 @@ let test_truncated_binary_positioned_error () =
                     (String.length m >= String.length expected
                     && String.sub m 0 (String.length expected) = expected))))
 
+(* Decoding a PIFTBIN1 record allocates the item and nothing else: the
+   varint loops are top-level functions and the reader's failure
+   continuation is built once.  An event item is at most 15 words
+   (record, access, range, item and option boxes); the closures this
+   bound rules out cost about 32 more per item. *)
+let test_binary_decode_allocation () =
+  let r = List.hd (Lazy.force recordings) in
+  with_tmp ~suffix:".pift" (fun path ->
+      Trace_io.save ~format:Trace_io.Binary r path;
+      Trace_io.with_reader path (fun rd ->
+          let n = ref 0 in
+          let w0 = Gc.minor_words () in
+          let rec go () =
+            match Trace_io.read_item rd with
+            | Some _ ->
+                incr n;
+                go ()
+            | None -> ()
+          in
+          go ();
+          let per_item = (Gc.minor_words () -. w0) /. float_of_int !n in
+          checkb "decoded a real trace" true (!n > 100);
+          checkb
+            (Printf.sprintf "%d items, %.1f minor words per decoded item <= 20"
+               !n per_item)
+            true (per_item <= 20.)))
+
 let () =
   Alcotest.run "pift service"
     [
@@ -521,6 +756,8 @@ let () =
             test_blocking_backpressure_lossless;
           Alcotest.test_case "drop policy accounting" `Quick
             test_drop_policy_accounting;
+          Alcotest.test_case "one shard never drops" `Quick
+            test_inline_shard_never_drops;
         ] );
       ( "tenant lifecycle",
         [
@@ -546,5 +783,14 @@ let () =
             test_reader_matches_load;
           Alcotest.test_case "truncated binary positioned error" `Quick
             test_truncated_binary_positioned_error;
+          Alcotest.test_case "binary decode allocates only items" `Quick
+            test_binary_decode_allocation;
+        ] );
+      ( "ingest merge",
+        [
+          Alcotest.test_case "heap = scan (property)" `Quick
+            test_merge_heap_equals_scan;
+          Alcotest.test_case "heap = scan (edge cases)" `Quick
+            test_merge_edge_cases;
         ] );
     ]
