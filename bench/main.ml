@@ -91,17 +91,17 @@ let test_tracker_observe =
          Tracker.taint_source t ~pid:1 (Range.of_len 0x4000_0000 32);
          Array.iter (Tracker.observe t) events))
 
-(* Same workload with a live metrics registry — the gap between this and
-   tracker/observe-20k-events is the cost of observation, and the no-op
-   path above must not regress when lib/obs changes. *)
+(* Same workload plus the end-of-run metrics export — the gap between
+   this and tracker/observe-20k-events is the cost of metrics, one
+   registry write per metric, independent of the event count. *)
 let test_tracker_observe_metrics =
   Test.make ~name:"tracker/observe-20k-events-metrics"
     (Staged.stage (fun () ->
          let events = Lazy.force tracker_events in
-         let registry = Pift_obs.Registry.create () in
-         let t = Tracker.create ~policy:Policy.default ~metrics:registry () in
+         let t = Tracker.create ~policy:Policy.default () in
          Tracker.taint_source t ~pid:1 (Range.of_len 0x4000_0000 32);
-         Array.iter (Tracker.observe t) events))
+         Array.iter (Tracker.observe t) events;
+         Tracker.export ~metrics:(Pift_obs.Registry.create ()) t))
 
 let test_dift_observe =
   Test.make ~name:"full_dift/observe-20k-events"
@@ -216,11 +216,12 @@ let write_obs_snapshot () =
         Recorded.replay ~policy:Policy.default ~metrics:registry recorded)
   in
   Obs.Span.with_ ~name:"hw-model" (fun () ->
-      let storage = Storage.create ~metrics:registry () in
+      let storage = Storage.create () in
       ignore
         (Recorded.replay
            ~store:(Pift_core.Store.of_storage storage)
            ~policy:Policy.default recorded);
+      Storage.export ~metrics:registry storage;
       let st = Storage.stats storage in
       let trace = recorded.Recorded.trace in
       Pift_core.Hw_model.observe ~metrics:registry

@@ -111,17 +111,17 @@ let rings_of trace_out ~slots =
 
 let write_trace ~out ~run rings =
   if Array.length rings > 0 then begin
-    let timeline = Obs.Timeline.of_rings rings in
     let oc = open_out out in
     Fun.protect
       ~finally:(fun () -> close_out oc)
-      (fun () -> Obs.Chrome.write oc ~run timeline);
+      (fun () -> Obs.Chrome.write oc ~run rings);
+    let total f = Array.fold_left (fun acc r -> acc + f r) 0 rings in
     (* stderr, not stdout: traced and untraced runs must keep
        byte-identical standard output. *)
     Printf.eprintf "trace: wrote %s (%d events across %d tracks%s)\n" out
-      (Obs.Timeline.event_count timeline)
+      (total Obs.Flight.length)
       (Array.length rings)
-      (let d = Obs.Timeline.dropped timeline in
+      (let d = total Obs.Flight.dropped in
        if d > 0 then Printf.sprintf ", %d dropped to wrap-around" d else "")
   end
 
@@ -407,7 +407,7 @@ let run_app name ni nt untaint verbose jit explain prov prov_out metrics_out
   | None -> ()
   | Some registry ->
       Obs.Span.with_ ~name:"hw-model" (fun () ->
-          let storage = Pift_core.Storage.create ~metrics:registry () in
+          let storage = Pift_core.Storage.create () in
           let hw_store = Pift_core.Store.of_storage storage in
           (* The hardware pass owns a storage model worth watching: bind
              its occupancy as an extra telemetry source (the tracker
@@ -418,6 +418,7 @@ let run_app name ni nt untaint verbose jit explain prov prov_out metrics_out
               Obs.Telemetry.set_source te ~name:"storage_occupancy"
                 (fun () -> float_of_int (Pift_core.Storage.occupancy storage)));
           ignore (Recorded.replay ~store:hw_store ~policy ?telemetry recorded);
+          Pift_core.Storage.export ~metrics:registry storage;
           let st = Pift_core.Storage.stats storage in
           let trace = recorded.Recorded.trace in
           Pift_core.Hw_model.observe ~metrics:registry

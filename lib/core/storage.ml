@@ -1,38 +1,5 @@
 module Range = Pift_util.Range
-module Counter = Pift_obs.Metric.Counter
-module Gauge = Pift_obs.Metric.Gauge
-
 type eviction = Lru_writeback | Drop
-
-type meters = {
-  m_lookups : Counter.t;
-  m_hits : Counter.t;
-  m_secondary_hits : Counter.t;
-  m_insertions : Counter.t;
-  m_evictions : Counter.t;
-  m_drops : Counter.t;
-  m_writebacks : Counter.t;
-  m_occupancy : Gauge.t;
-}
-
-let meters_of registry =
-  let c help name = Pift_obs.Registry.counter registry ~help name in
-  {
-    m_lookups = c "range-cache lookups" "pift_storage_lookups_total";
-    m_hits = c "primary (on-chip) hits" "pift_storage_primary_hits_total";
-    m_secondary_hits =
-      c "secondary (main-memory) hits after a primary miss"
-        "pift_storage_secondary_hits_total";
-    m_insertions = c "range-cache insertions" "pift_storage_insertions_total";
-    m_evictions = c "LRU evictions" "pift_storage_evictions_total";
-    m_drops = c "insertions dropped when full" "pift_storage_drops_total";
-    m_writebacks =
-      c "entries written back to secondary storage"
-        "pift_storage_writebacks_total";
-    m_occupancy =
-      Pift_obs.Registry.gauge registry ~help:"valid primary entries"
-        "pift_storage_occupancy";
-  }
 
 type slot = {
   mutable pid : int;
@@ -69,17 +36,10 @@ type t = {
   mutable drops : int;
   mutable writebacks : int;
   mutable max_occupancy : int;
-  meters : meters option;
 }
 
-let meter t f = match t.meters with None -> () | Some m -> f m
-
-let set_occupancy t v =
-  t.occupancy <- v;
-  meter t (fun m -> Gauge.set m.m_occupancy v)
-
 let create ?(entries = 2730) ?(eviction = Lru_writeback)
-    ?(granularity = None) ?metrics () =
+    ?(granularity = None) () =
   if entries <= 0 then invalid_arg "Storage.create: entries must be positive";
   (match granularity with
   | Some r when r < 0 || r > 20 ->
@@ -102,7 +62,6 @@ let create ?(entries = 2730) ?(eviction = Lru_writeback)
     drops = 0;
     writebacks = 0;
     max_occupancy = 0;
-    meters = Option.map meters_of metrics;
   }
 
 let align t r =
@@ -137,7 +96,6 @@ let free_slot t =
       match t.eviction with
       | Drop ->
           t.drops <- t.drops + 1;
-          meter t (fun m -> Counter.incr m.m_drops);
           None
       | Lru_writeback ->
           let victim =
@@ -152,11 +110,8 @@ let free_slot t =
           write_back t s.pid (Range.make s.lo s.hi);
           t.evictions <- t.evictions + 1;
           t.writebacks <- t.writebacks + 1;
-          meter t (fun m ->
-              Counter.incr m.m_evictions;
-              Counter.incr m.m_writebacks);
           s.valid <- false;
-          set_occupancy t (t.occupancy - 1);
+          t.occupancy <- t.occupancy - 1;
           Some s)
 
 let fill slot ~pid ~lo ~hi ~stamp =
@@ -169,7 +124,6 @@ let fill slot ~pid ~lo ~hi ~stamp =
 let insert t ~pid r =
   let r = align t r in
   t.insertions <- t.insertions + 1;
-  meter t (fun m -> Counter.incr m.m_insertions);
   (* Merge with an existing overlapping-or-adjacent entry when possible
      (the range-cache update of Tiwari et al. [17]); otherwise allocate. *)
   let merged = ref false in
@@ -192,7 +146,7 @@ let insert t ~pid r =
     | None -> ()
     | Some slot ->
         fill slot ~pid ~lo:(Range.lo r) ~hi:(Range.hi r) ~stamp:(tick t);
-        set_occupancy t (t.occupancy + 1);
+        t.occupancy <- t.occupancy + 1;
         if t.occupancy > t.max_occupancy then t.max_occupancy <- t.occupancy
 
 let remove t ~pid r =
@@ -208,7 +162,7 @@ let remove t ~pid r =
         match pieces with
         | [] ->
             s.valid <- false;
-            set_occupancy t (t.occupancy - 1)
+            t.occupancy <- t.occupancy - 1
         | [ p ] ->
             s.lo <- Range.lo p;
             s.hi <- Range.hi p
@@ -239,10 +193,8 @@ let primary_lookup t ~pid r =
 let lookup t ~pid r =
   let r = align t r in
   t.lookups <- t.lookups + 1;
-  meter t (fun m -> Counter.incr m.m_lookups);
   if primary_lookup t ~pid r then begin
     t.hits <- t.hits + 1;
-    meter t (fun m -> Counter.incr m.m_hits);
     true
   end
   else
@@ -252,7 +204,6 @@ let lookup t ~pid r =
         match Hashtbl.find_opt t.secondary pid with
         | Some set when Range_set.mem_overlap set r ->
             t.secondary_hits <- t.secondary_hits + 1;
-            meter t (fun m -> Counter.incr m.m_secondary_hits);
             (* Promote: hardware refetches the matching range. *)
             let promoted =
               List.find_opt
@@ -268,14 +219,14 @@ let lookup t ~pid r =
         | Some _ | None -> false)
 
 let release_pid t ~pid =
-  (* Tenant eviction: invalidate the pid's primary entries (keeping the
-     occupancy gauge honest) and drop its secondary set outright — no
+  (* Tenant eviction: invalidate the pid's primary entries (keeping
+     occupancy honest) and drop its secondary set outright — no
      writeback, the state is being discarded, not displaced. *)
   Array.iter
     (fun s ->
       if s.valid && s.pid = pid then begin
         s.valid <- false;
-        set_occupancy t (t.occupancy - 1)
+        t.occupancy <- t.occupancy - 1
       end)
     t.slots;
   Hashtbl.remove t.secondary pid
@@ -286,11 +237,10 @@ let context_switch t =
       if s.valid then begin
         write_back t s.pid (Range.make s.lo s.hi);
         t.writebacks <- t.writebacks + 1;
-        meter t (fun m -> Counter.incr m.m_writebacks);
         s.valid <- false
       end)
     t.slots;
-  set_occupancy t 0
+  t.occupancy <- 0
 
 let occupancy t = t.occupancy
 
@@ -339,3 +289,19 @@ let stats t =
     writebacks = t.writebacks;
     max_occupancy = t.max_occupancy;
   }
+
+let export ~metrics t =
+  let module Registry = Pift_obs.Registry in
+  Registry.set_gauge metrics ~help:"valid primary entries"
+    "pift_storage_occupancy" ~peak:t.max_occupancy t.occupancy;
+  let c = Registry.add_counter metrics in
+  c ~help:"entries written back to secondary storage"
+    "pift_storage_writebacks_total" t.writebacks;
+  c ~help:"insertions dropped when full" "pift_storage_drops_total" t.drops;
+  c ~help:"LRU evictions" "pift_storage_evictions_total" t.evictions;
+  c ~help:"range-cache insertions" "pift_storage_insertions_total"
+    t.insertions;
+  c ~help:"secondary (main-memory) hits after a primary miss"
+    "pift_storage_secondary_hits_total" t.secondary_hits;
+  c ~help:"primary (on-chip) hits" "pift_storage_primary_hits_total" t.hits;
+  c ~help:"range-cache lookups" "pift_storage_lookups_total" t.lookups

@@ -20,15 +20,11 @@ type eviction =
 type t
 
 val create :
-  ?entries:int -> ?eviction:eviction -> ?granularity:int option ->
-  ?metrics:Pift_obs.Registry.t -> unit -> t
+  ?entries:int -> ?eviction:eviction -> ?granularity:int option -> unit -> t
 (** [entries] defaults to 2730 (32 KiB of 12-byte entries).
     [granularity] is [None] for arbitrary ranges, or [Some r] for
     [2^r]-byte block tagging.  The per-process secondary store in main
-    memory is an exact {!Range_set}.  With [metrics],
-    [pift_storage_*] counters (lookups, primary/secondary hits,
-    insertions, evictions, drops, writebacks) and an occupancy gauge
-    mirror {!stats} live. *)
+    memory is an exact {!Range_set}. *)
 
 val insert : t -> pid:int -> Pift_util.Range.t -> unit
 val remove : t -> pid:int -> Pift_util.Range.t -> unit
@@ -65,3 +61,10 @@ type stats = {
 }
 
 val stats : t -> stats
+
+val export : metrics:Pift_obs.Registry.t -> t -> unit
+(** Add {!stats} so far to [metrics] as [pift_storage_*] counters
+    (lookups, primary/secondary hits, insertions, evictions, drops,
+    writebacks) plus a [pift_storage_occupancy] gauge whose peak is
+    [max_occupancy] and whose value is the live {!occupancy}.  Call
+    once, at the end of a run. *)

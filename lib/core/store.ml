@@ -84,44 +84,6 @@ let create ?(backend = Flat) () =
              sets []));
   }
 
-let with_metrics registry inner =
-  let module Counter = Pift_obs.Metric.Counter in
-  let module Gauge = Pift_obs.Metric.Gauge in
-  let c help name = Pift_obs.Registry.counter registry ~help name in
-  let adds = c "range insertions into the taint store" "pift_store_add_ops_total" in
-  let removes = c "range removals from the taint store" "pift_store_remove_ops_total" in
-  let merges =
-    c "insertions coalesced into an existing range"
-      "pift_store_merge_ops_total"
-  in
-  let ranges_gauge =
-    Pift_obs.Registry.gauge registry ~help:"distinct ranges held by the store"
-      "pift_store_ranges"
-  in
-  let sync () = Gauge.set ranges_gauge (inner.range_count ()) in
-  {
-    inner with
-    add =
-      (fun ~pid r ->
-        let before = inner.range_count () in
-        inner.add ~pid r;
-        Counter.incr adds;
-        (* A merge (or full overlap) is an insertion that did not grow the
-           range count — the coalescing path of a backend's add / the
-           range-cache update of Storage.insert. *)
-        if inner.range_count () <= before then Counter.incr merges;
-        sync ());
-    remove =
-      (fun ~pid r ->
-        inner.remove ~pid r;
-        Counter.incr removes;
-        sync ());
-    release_pid =
-      (fun ~pid ->
-        inner.release_pid ~pid;
-        sync ());
-  }
-
 let of_storage storage =
   {
     add = (fun ~pid r -> Storage.insert storage ~pid r);

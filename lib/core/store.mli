@@ -63,9 +63,3 @@ val create : ?backend:backend -> unit -> t
 val of_storage : Storage.t -> t
 (** State held in a hardware range cache; behaviour (and possible false
     negatives) follow the cache's eviction policy. *)
-
-val with_metrics : Pift_obs.Registry.t -> t -> t
-(** Same backend, with [pift_store_*] add/remove/merge counters and a
-    range-count gauge updated on every mutation.  Merge detection reads
-    the (O(1), incrementally tracked) range count around each
-    insertion, so wrap only when observing. *)

@@ -1,49 +1,11 @@
 module Range = Pift_util.Range
 module Series = Pift_util.Series
 module Event = Pift_trace.Event
-module Counter = Pift_obs.Metric.Counter
-module Gauge = Pift_obs.Metric.Gauge
-
-type window = { mutable ltlt : int; mutable nt_used : int }
-
-(* Cells resolved once at [create]; the hot path is a field load and an
-   integer store per event when metrics are on, nothing when off. *)
-type meters = {
-  m_events : Counter.t;
-  m_lookups : Counter.t;
-  m_tainted_loads : Counter.t;
-  m_taint_ops : Counter.t;
-  m_untaint_ops : Counter.t;
-  m_tainted_bytes : Gauge.t;
-  m_ranges : Gauge.t;
-  m_window_opens : int -> Counter.t;
+type window = {
+  mutable ltlt : int;
+  mutable nt_used : int;
+  mutable opens : int;  (* tainted loads that opened or restarted it *)
 }
-
-let meters_of registry =
-  let c help name = Pift_obs.Registry.counter registry ~help name in
-  let g help name = Pift_obs.Registry.gauge registry ~help name in
-  let opens =
-    Pift_obs.Registry.counter_family registry
-      ~help:"tainting windows opened or restarted, per process" ~label:"pid"
-      "pift_tracker_window_opens_total"
-  in
-  {
-    m_events = c "instruction events observed" "pift_tracker_events_total";
-    m_lookups = c "load-time taint queries" "pift_tracker_lookups_total";
-    m_tainted_loads =
-      c "queries that hit and opened a window"
-        "pift_tracker_tainted_loads_total";
-    m_taint_ops =
-      c "store ranges tainted by propagation (Fig. 16)"
-        "pift_tracker_taint_ops_total";
-    m_untaint_ops =
-      c "store ranges untainted (Fig. 16)" "pift_tracker_untaint_ops_total";
-    m_tainted_bytes =
-      g "currently tainted bytes across processes (Fig. 15)"
-        "pift_tracker_tainted_bytes";
-    m_ranges = g "distinct tainted ranges" "pift_tracker_ranges";
-    m_window_opens = (fun pid -> opens (string_of_int pid));
-  }
 
 type stats = {
   taint_ops : int;
@@ -67,9 +29,14 @@ type t = {
   mutable max_ranges : int;
   mutable events : int;
   mutable last_time : int;
+  (* Store operation totals behind [pift_store_*]: a merge is an add
+     that did not grow the store's range count. *)
+  mutable store_adds : int;
+  mutable store_removes : int;
+  mutable store_merges : int;
+  mutable ranges_now : int;  (* range count at the last [update_peaks] *)
   bytes_series : Series.t;
   ops_series : Series.t;
-  meters : meters option;
   flight : Pift_obs.Flight.t option;
   prov : Provenance.t option;
   telemetry : Pift_obs.Telemetry.t option;
@@ -80,8 +47,8 @@ type t = {
 (* LTLT <- -inf (Algorithm 1 line 8); any value with ltlt + ni < 1 works. *)
 let minus_infinity = min_int / 2
 
-let create ?(policy = Policy.default) ?(store = Store.create ()) ?metrics
-    ?flight ?prov ?telemetry ?profile () =
+let create ?(policy = Policy.default) ?(store = Store.create ()) ?flight
+    ?prov ?telemetry ?profile () =
   let t =
     {
       flight;
@@ -99,10 +66,13 @@ let create ?(policy = Policy.default) ?(store = Store.create ()) ?metrics
       max_ranges = 0;
       events = 0;
       last_time = 0;
+      store_adds = 0;
+      store_removes = 0;
+      store_merges = 0;
+      ranges_now = store.Store.range_count ();
       last_window_used = 0;
       bytes_series = Series.create ~name:"tainted bytes" ();
       ops_series = Series.create ~name:"taint+untaint ops" ();
-      meters = Option.map meters_of metrics;
     }
   in
   (* Telemetry sources are closures over this tracker's live state; they
@@ -126,7 +96,7 @@ let window t pid =
   match Hashtbl.find_opt t.windows pid with
   | Some w -> w
   | None ->
-      let w = { ltlt = minus_infinity; nt_used = 0 } in
+      let w = { ltlt = minus_infinity; nt_used = 0; opens = 0 } in
       Hashtbl.add t.windows pid w;
       w
 
@@ -143,6 +113,7 @@ let st_overlaps t ~pid r =
       v
 
 let st_add t ~pid r =
+  t.store_adds <- t.store_adds + 1;
   match t.profile with
   | None -> t.store.Store.add ~pid r
   | Some p ->
@@ -151,6 +122,7 @@ let st_add t ~pid r =
       Pift_obs.Profile.leave p
 
 let st_remove t ~pid r =
+  t.store_removes <- t.store_removes + 1;
   match t.profile with
   | None -> t.store.Store.remove ~pid r
   | Some p ->
@@ -158,16 +130,18 @@ let st_remove t ~pid r =
       t.store.Store.remove ~pid r;
       Pift_obs.Profile.leave p
 
-let update_peaks t ~time =
+(* Runs after every store mutation.  [~added] marks the one following an
+   [st_add]: the range count read here anyway, against the count after
+   the previous mutation, tells whether that add merged into existing
+   ranges — without a second count read, which costs a full scan on a
+   {!Store.of_storage} store. *)
+let update_peaks ?(added = false) t ~time =
   let bytes = t.store.Store.tainted_bytes () in
   let count = t.store.Store.range_count () in
+  if added && count <= t.ranges_now then t.store_merges <- t.store_merges + 1;
+  t.ranges_now <- count;
   if bytes > t.max_tainted_bytes then t.max_tainted_bytes <- bytes;
   if count > t.max_ranges then t.max_ranges <- count;
-  (match t.meters with
-  | None -> ()
-  | Some m ->
-      Gauge.set m.m_tainted_bytes bytes;
-      Gauge.set m.m_ranges count);
   (match t.flight with
   | None -> ()
   | Some f ->
@@ -186,12 +160,12 @@ let taint_source ?(kind = "source") t ~pid r =
   | None -> ()
   | Some p -> Provenance.taint_source p ~pid ~label:kind r);
   st_add t ~pid r;
-  update_peaks t ~time:t.last_time
+  update_peaks ~added:true t ~time:t.last_time
 
 (* Like [taint_source], a Manager-driven untaint must land in the
-   observability state: without the [update_peaks] call the tainted-bytes
-   gauges went stale and Fig. 15's bytes-over-time curve missed the dip
-   when a source range is untainted. *)
+   observability state: without the [update_peaks] call Fig. 15's
+   bytes-over-time curve missed the dip when a source range is
+   untainted. *)
 let untaint_range t ~pid r =
   (match t.prov with
   | None -> ()
@@ -202,7 +176,7 @@ let untaint_range t ~pid r =
 (* Tenant eviction for a long-lived tracker: the pid's window, taint
    state and provenance sidecar state are all dropped, and the
    observability state sees the dip (same reasoning as [untaint_range] —
-   gauges and the Fig. 15 series must not go stale). *)
+   the Fig. 15 series must not go stale). *)
 let release_pid t ~pid =
   Hashtbl.remove t.windows pid;
   (match t.prov with
@@ -229,9 +203,6 @@ let tainted_ranges t ~pid = t.store.Store.ranges ~pid
 
 let observe_event t e =
   t.events <- t.events + 1;
-  (match t.meters with
-  | None -> ()
-  | Some m -> Counter.incr m.m_events);
   (* The provenance sidecar replays the same Algorithm 1 over per-label
      state; its union equals [t.store] at every step (see Provenance),
      so it never changes verdicts — only answers [origins_of]. *)
@@ -244,19 +215,12 @@ let observe_event t e =
   | Event.Load r ->
       (* Lines 10–15: a load overlapping R starts (over) the window. *)
       t.lookups <- t.lookups + 1;
-      (match t.meters with
-      | None -> ()
-      | Some m -> Counter.incr m.m_lookups);
       if st_overlaps t ~pid:e.pid r then begin
         t.tainted_loads <- t.tainted_loads + 1;
-        (match t.meters with
-        | None -> ()
-        | Some m ->
-            Counter.incr m.m_tainted_loads;
-            Counter.incr (m.m_window_opens e.pid));
         let w = window t e.pid in
         w.ltlt <- e.k;
-        w.nt_used <- 0
+        w.nt_used <- 0;
+        w.opens <- w.opens + 1
       end
   | Event.Store r ->
       (* Lines 16–23: taint inside the window, up to NT times; otherwise
@@ -272,19 +236,13 @@ let observe_event t e =
         | Some f ->
             Pift_obs.Flight.sample f "window_used" (float_of_int w.nt_used));
         t.taint_ops <- t.taint_ops + 1;
-        (match t.meters with
-        | None -> ()
-        | Some m -> Counter.incr m.m_taint_ops);
         record_op t ~time:e.seq;
-        update_peaks t ~time:e.seq
+        update_peaks ~added:true t ~time:e.seq
       end
       else if t.policy.Policy.untaint && st_overlaps t ~pid:e.pid r
       then begin
         st_remove t ~pid:e.pid r;
         t.untaint_ops <- t.untaint_ops + 1;
-        (match t.meters with
-        | None -> ()
-        | Some m -> Counter.incr m.m_untaint_ops);
         record_op t ~time:e.seq;
         update_peaks t ~time:e.seq
       end
@@ -319,6 +277,43 @@ let stats t =
 let tainted_bytes_series t = t.bytes_series
 let ops_series t = t.ops_series
 
+(* Window opens are reported per resident pid, in pid order. *)
+let export ~metrics t =
+  let module Registry = Pift_obs.Registry in
+  let c = Registry.add_counter metrics in
+  let g = Registry.set_gauge metrics in
+  c ~help:"range insertions into the taint store" "pift_store_add_ops_total"
+    t.store_adds;
+  c ~help:"range removals from the taint store" "pift_store_remove_ops_total"
+    t.store_removes;
+  c ~help:"insertions coalesced into an existing range"
+    "pift_store_merge_ops_total" t.store_merges;
+  g ~help:"distinct ranges held by the store" "pift_store_ranges"
+    ~peak:t.max_ranges (current_ranges t);
+  let opens =
+    Registry.counter_family metrics
+      ~help:"tainting windows opened or restarted, per process" ~label:"pid"
+      "pift_tracker_window_opens_total"
+  in
+  Hashtbl.fold (fun pid w acc -> (pid, w.opens) :: acc) t.windows []
+  |> List.sort compare
+  |> List.iter (fun (pid, n) ->
+         if n > 0 then
+           Pift_obs.Metric.Counter.add (opens (string_of_int pid)) n);
+  g ~help:"distinct tainted ranges" "pift_tracker_ranges" ~peak:t.max_ranges
+    (current_ranges t);
+  g ~help:"currently tainted bytes across processes (Fig. 15)"
+    "pift_tracker_tainted_bytes" ~peak:t.max_tainted_bytes
+    (current_tainted_bytes t);
+  c ~help:"store ranges untainted (Fig. 16)" "pift_tracker_untaint_ops_total"
+    t.untaint_ops;
+  c ~help:"store ranges tainted by propagation (Fig. 16)"
+    "pift_tracker_taint_ops_total" t.taint_ops;
+  c ~help:"queries that hit and opened a window"
+    "pift_tracker_tainted_loads_total" t.tainted_loads;
+  c ~help:"load-time taint queries" "pift_tracker_lookups_total" t.lookups;
+  c ~help:"instruction events observed" "pift_tracker_events_total" t.events
+
 (* --- persistence --------------------------------------------------------- *)
 
 type persisted = {
@@ -346,7 +341,7 @@ let persist t =
    Ranges go through the raw store [add] — not [taint_source] — so the
    provenance sidecar (restored from its own record) and the stats
    counters are not perturbed; one [update_peaks] at the end syncs the
-   gauges and the Fig. 15 series to the restored occupancy.  Peaks are
+   Fig. 15 series to the restored occupancy.  Peaks are
    ≥ current occupancy by invariant, so restoring stats first keeps the
    persisted maxima. *)
 let restore t p =
@@ -360,7 +355,7 @@ let restore t p =
   t.last_time <- p.p_last_time;
   List.iter
     (fun (pid, ltlt, nt_used) ->
-      Hashtbl.replace t.windows pid { ltlt; nt_used })
+      Hashtbl.replace t.windows pid { ltlt; nt_used; opens = 0 })
     p.p_windows;
   List.iter
     (fun (pid, ranges) -> List.iter (t.store.Store.add ~pid) ranges)

@@ -15,17 +15,12 @@
 type t
 
 val create :
-  ?policy:Policy.t -> ?store:Store.t -> ?metrics:Pift_obs.Registry.t ->
-  ?flight:Pift_obs.Flight.t -> ?prov:Provenance.t ->
-  ?telemetry:Pift_obs.Telemetry.t -> ?profile:Pift_obs.Profile.t -> unit -> t
+  ?policy:Policy.t -> ?store:Store.t -> ?flight:Pift_obs.Flight.t ->
+  ?prov:Provenance.t -> ?telemetry:Pift_obs.Telemetry.t ->
+  ?profile:Pift_obs.Profile.t -> unit -> t
 (** [policy] defaults to {!Policy.default}; [store] to
     [Store.create ()], the production [Flat] store (the test references
-    [Store.create ~backend ()] give identical verdicts and stats).  When
-    [metrics] is given, the tracker registers [pift_tracker_*] counters
-    and gauges (events, lookups, tainted loads, taint/untaint ops,
-    tainted-bytes and range-count gauges, and a per-pid
-    [pift_tracker_window_opens_total] family) and keeps them in
-    lock-step with {!stats}; without it the observer path is a no-op.
+    [Store.create ~backend ()] give identical verdicts and stats).
 
     When [flight] is given, the tracker also stamps the flight recorder:
     an instant per {!taint_source} (["source"]) and per {!is_tainted}
@@ -62,9 +57,8 @@ val untaint_range : t -> pid:int -> Pift_util.Range.t -> unit
 
 val release_pid : t -> pid:int -> unit
 (** Tenant eviction: drop the pid's window, its store state and (when
-    present) its provenance state, then refresh the observability
-    gauges/series so occupancy returns to the remaining tenants'
-    baseline.  A released pid starts clean if seen again.  Peak stats
+    present) its provenance state, then refresh the Fig. 15 series so
+    occupancy returns to the remaining tenants' baseline.  A released pid starts clean if seen again.  Peak stats
     ([max_tainted_bytes]/[max_ranges]) keep their high-water marks. *)
 
 val current_tainted_bytes : t -> int
@@ -107,6 +101,16 @@ val tainted_bytes_series : t -> Pift_util.Series.t
 val ops_series : t -> Pift_util.Series.t
 (** Cumulative tainting+untainting operations over time (Fig. 16). *)
 
+val export : metrics:Pift_obs.Registry.t -> t -> unit
+(** Add the tracker's totals so far to [metrics], read from the counts
+    behind {!stats}.  [pift_store_*]: add/remove/merge counters for the
+    store operations the tracker issued (a merge is an add that did not
+    grow the range count) and a range-count gauge.  [pift_tracker_*]:
+    events, lookups, tainted loads, taint/untaint ops, tainted-bytes and
+    range-count gauges (peak = the {!stats} maximum, value = live), and
+    a [pift_tracker_window_opens_total] family per resident pid.  Call
+    once, at the end of a run. *)
+
 (** {1 Persistence}
 
     Structural snapshot for the service durability layer
@@ -134,7 +138,7 @@ val restore : t -> persisted -> unit
     same policy and provenance mode (the snapshot manifest records both;
     persisted ranges are canonical, so the store backend is free).
     Restored ranges bypass [taint_source], so stats and the sidecar keep
-    their persisted values; gauges and the Fig. 15 series are synced once
-    at the end.  After [restore t p] the tracker's observable behaviour — verdicts,
+    their persisted values; the Fig. 15 series is synced once at the
+    end.  After [restore t p] the tracker's observable behaviour — verdicts,
     origin sets, stats, future window decisions — is identical to the
     persisted tracker's. *)

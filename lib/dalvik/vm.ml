@@ -14,31 +14,7 @@ exception Thrown of int
 
 type mode = Interpreter | Jit
 
-module Counter = Pift_obs.Metric.Counter
-
-type meters = {
-  m_bytecodes : Counter.t;  (* labelled by dispatch mode *)
-  m_frag_hits : Counter.t;
-  m_frag_misses : Counter.t;
-}
-
 let mode_label = function Interpreter -> "interpreter" | Jit -> "jit"
-
-let meters_of ~mode registry =
-  let bytecodes =
-    Pift_obs.Registry.counter_family registry
-      ~help:"bytecodes dispatched, by execution mode" ~label:"mode"
-      "pift_vm_bytecodes_total"
-  in
-  let c help name = Pift_obs.Registry.counter registry ~help name in
-  {
-    m_bytecodes = bytecodes (mode_label mode);
-    m_frag_hits =
-      c "translation-fragment cache hits" "pift_vm_frag_cache_hits_total";
-    m_frag_misses =
-      c "fragments translated on a cache miss"
-        "pift_vm_frag_cache_misses_total";
-  }
 
 type t = {
   mode : mode;
@@ -51,7 +27,7 @@ type t = {
   mutable code_next : int;
   frag_cache : (string * int * int, Asm.fragment) Hashtbl.t;
   mutable bytecodes : int;
-  meters : meters option;
+  mutable frag_hits : int;
   flight : Pift_obs.Flight.t option;
   profile : Pift_obs.Profile.t option;
 }
@@ -61,7 +37,7 @@ let entry_fp = 0x70f0_0000
 let statics_base = Layout.scratch_base + 0x10000
 
 let create ?(mode = Interpreter) ?(natives = Pift_runtime.Api.registry)
-    ?metrics ?flight ?profile env program =
+    ?flight ?profile env program =
   let tbl = Hashtbl.create 32 in
   List.iter (fun (name, fn) -> Hashtbl.replace tbl name fn) natives;
   Cpu.set env.Env.cpu Reg.SP Layout.stack_base;
@@ -76,7 +52,7 @@ let create ?(mode = Interpreter) ?(natives = Pift_runtime.Api.registry)
     code_next = code_base;
     frag_cache = Hashtbl.create 64;
     bytecodes = 0;
-    meters = Option.map (meters_of ~mode) metrics;
+    frag_hits = 0;
     flight;
     profile;
   }
@@ -123,14 +99,9 @@ let cached_fragment t (m : Method.t) ~pc ~key resolved =
   let cache_key = (m.Method.name, pc, key) in
   match Hashtbl.find_opt t.frag_cache cache_key with
   | Some f ->
-      (match t.meters with
-      | None -> ()
-      | Some ms -> Counter.incr ms.m_frag_hits);
+      t.frag_hits <- t.frag_hits + 1;
       f
   | None ->
-      (match t.meters with
-      | None -> ()
-      | Some ms -> Counter.incr ms.m_frag_misses);
       let f = Translate.fragment resolved in
       let f =
         match t.mode with
@@ -207,9 +178,6 @@ let rec exec_method t (m : Method.t) ~fp ~depth =
     Cpu.set cpu Reg.R6 (Pift_runtime.Tcb.base ~pid:(Cpu.pid cpu));
     Cpu.set cpu Reg.ribase 0x2000_0000;
     t.bytecodes <- t.bytecodes + 1;
-    (match t.meters with
-    | None -> ()
-    | Some ms -> Counter.incr ms.m_bytecodes);
     let bc = m.Method.code.(cur) in
     try
       match bc with
@@ -367,3 +335,20 @@ let run t =
   | None -> ()
   | Some f -> Pift_obs.Flight.end_ f "vm-run");
   result
+
+(* Every miss translates and caches exactly one fragment, and nothing is
+   ever evicted, so the cache size is the miss count. *)
+let export ~metrics t =
+  let module Registry = Pift_obs.Registry in
+  let bytecodes =
+    Registry.counter_family metrics
+      ~help:"bytecodes dispatched, by execution mode" ~label:"mode"
+      "pift_vm_bytecodes_total"
+  in
+  Pift_obs.Metric.Counter.add (bytecodes (mode_label t.mode)) t.bytecodes;
+  let c = Registry.add_counter metrics in
+  c ~help:"fragments translated on a cache miss"
+    "pift_vm_frag_cache_misses_total"
+    (Hashtbl.length t.frag_cache);
+  c ~help:"translation-fragment cache hits" "pift_vm_frag_cache_hits_total"
+    t.frag_hits

@@ -101,8 +101,9 @@ val sweep :
     [progress done total] is called per app recorded, [on_cell done
     total] per grid cell finished (both under a lock when parallel, in
     completion order — the hook behind the live progress line).  With
-    [metrics], [pift_sweep_*] counters track recorded apps and grid
-    replays, and a log2 histogram collects per-app trace lengths.
+    [metrics], [pift_sweep_*] counters report recorded apps and grid
+    replays, and a log2 histogram the per-app trace lengths, all
+    exported once after the grid finishes.
     [rings] (one flight-recorder ring per worker slot, also handed to
     the pool for chunk spans) adds a ["record:<app>"] span per
     recording and, per grid cell, a ["cell(ni,nt)"] span plus
@@ -118,7 +119,7 @@ val sweep :
     stacks.  Both follow the per-slot single-writer discipline; neither
     changes cells, metrics, or stdout.  [jobs]
     (default 1) sizes the [Pift_par] domain pool the recordings and
-    grid cells run on; the result — cells and merged metrics both — is
+    grid cells run on; the result — cells and metrics both — is
     identical for every [jobs] value, for every taint-store [backend]
     (default [Flat]; the test references give the same cells), and with
     tracing on or off.  [with_origins] (default off) threads

@@ -24,7 +24,7 @@ type t = {
 let record ?mode ?metrics ?flight ?profile (app : App.t) =
   Pift_obs.Profile.span profile "record" @@ fun () ->
   let trace = Trace.create () in
-  let env = Env.create ?metrics ~sink:(Trace.sink trace) () in
+  let env = Env.create ~sink:(Trace.sink trace) () in
   let markers = ref [] in
   let seq () = Cpu.global_seq env.Env.cpu in
   let stamp name =
@@ -40,9 +40,14 @@ let record ?mode ?metrics ?flight ?profile (app : App.t) =
       markers := (seq (), Sink { kind; ranges }) :: !markers);
   let natives = Pift_runtime.Api.registry @ app.App.natives in
   let vm =
-    Vm.create ?mode ~natives ?metrics ?flight ?profile env (app.App.program ())
+    Vm.create ?mode ~natives ?flight ?profile env (app.App.program ())
   in
   (match Vm.run vm with `Ok | `Uncaught _ -> ());
+  Option.iter
+    (fun metrics ->
+      Cpu.export ~metrics env.Env.cpu;
+      Vm.export ~metrics vm)
+    metrics;
   {
     name = app.App.name;
     trace;
@@ -127,11 +132,6 @@ let replay ?(backend = Store.Flat) ?store ?metrics ?flight ?telemetry
     | Some store -> store
     | None -> Store.create ~backend ()
   in
-  let store =
-    match metrics with
-    | Some registry -> Store.with_metrics registry store
-    | None -> store
-  in
   (* The sidecar shares the replay's policy and backend; sink-time origin
      sets must be captured at the sink check (later untainting can erase
      them), hence the [origin_verdict] list rather than a final query. *)
@@ -141,7 +141,7 @@ let replay ?(backend = Store.Flat) ?store ?metrics ?flight ?telemetry
     else None
   in
   let tracker =
-    Tracker.create ~policy ~store ?metrics ?flight ?prov ?telemetry ?profile ()
+    Tracker.create ~policy ~store ?flight ?prov ?telemetry ?profile ()
   in
   let verdicts = ref [] in
   let origin_verdicts = ref [] in
@@ -166,6 +166,7 @@ let replay ?(backend = Store.Flat) ?store ?metrics ?flight ?telemetry
         end
   in
   interleave t ~observe:(Tracker.observe tracker) ~on_marker;
+  Option.iter (fun metrics -> Tracker.export ~metrics tracker) metrics;
   let verdicts = List.rev !verdicts in
   {
     verdicts;

@@ -28,7 +28,8 @@ val record :
 (** Execute the app and capture everything.  An uncaught application
     exception terminates the run but still yields the recording.
     [mode] selects interpreter or JIT execution (default interpreter);
-    [metrics] instruments the CPU and VM of the recording run; [flight]
+    [metrics] receives the CPU's and VM's end-of-run totals
+    ([pift_cpu_*], [pift_vm_*]); [flight]
     additionally stamps ["source"]/["sink-check"] instants as the
     Manager fires and passes through to the VM's ["vm-run"] span;
     [profile] attributes the run to a ["record"] region with the VM's
@@ -80,8 +81,8 @@ val replay :
     production store) picks the taint-store representation when no
     explicit [store] is given; the [Functional]/[Bytemap] test
     references give identical verdicts and stats.  With [metrics], the
-    tracker and the taint store are instrumented ([pift_tracker_*],
-    [pift_store_*]); [flight] is handed to the tracker for fine-grained
+    tracker's end-of-run totals are exported ([pift_store_*],
+    [pift_tracker_*]); [flight] is handed to the tracker for fine-grained
     event/counter stamps; verdicts and {!Pift_core.Tracker.stats} are
     unaffected.  [telemetry] is handed to the tracker, which bumps the
     snapshot cadence per event and binds the

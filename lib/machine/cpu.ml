@@ -9,22 +9,6 @@ let mask32 v = v land 0xFFFF_FFFF
 (* Return-address sentinel: a code index no fragment ever reaches. *)
 let return_sentinel = 0xFFFF_FFFF
 
-module Counter = Pift_obs.Metric.Counter
-
-type meters = {
-  m_insns : Counter.t;
-  m_loads : Counter.t;
-  m_stores : Counter.t;
-}
-
-let meters_of registry =
-  let c help name = Pift_obs.Registry.counter registry ~help name in
-  {
-    m_insns = c "instructions retired" "pift_cpu_instructions_total";
-    m_loads = c "load instructions retired" "pift_cpu_loads_total";
-    m_stores = c "store instructions retired" "pift_cpu_stores_total";
-  }
-
 type t = {
   mem : Memory.t;
   regs : int array;
@@ -33,11 +17,12 @@ type t = {
   mutable pid : int;
   counters : (int, int ref) Hashtbl.t;
   mutable seq : int;
+  mutable loads : int;
+  mutable stores : int;
   mutable sink : Event.t -> unit;
-  meters : meters option;
 }
 
-let create ?(pid = 1) ?metrics ~sink mem =
+let create ?(pid = 1) ~sink mem =
   {
     mem;
     regs = Array.make 16 0;
@@ -46,8 +31,9 @@ let create ?(pid = 1) ?metrics ~sink mem =
     pid;
     counters = Hashtbl.create 4;
     seq = 0;
+    loads = 0;
+    stores = 0;
     sink;
-    meters = Option.map meters_of metrics;
   }
 
 let memory t = t.mem
@@ -210,15 +196,17 @@ let run ?(fuel = 50_000_000) t frag =
     t.seq <- t.seq + 1;
     let kr = counter_ref t in
     incr kr;
-    (match t.meters with
-    | None -> ()
-    | Some m -> (
-        Counter.incr m.m_insns;
-        match access with
-        | Event.Load _ -> Counter.incr m.m_loads
-        | Event.Store _ -> Counter.incr m.m_stores
-        | Event.Other -> ()));
+    (match access with
+    | Event.Load _ -> t.loads <- t.loads + 1
+    | Event.Store _ -> t.stores <- t.stores + 1
+    | Event.Other -> ());
     t.sink { Event.seq = t.seq; k = !kr; pid = t.pid; insn; access };
     pc := next
   done;
   set t Reg.LR saved_lr
+
+let export ~metrics t =
+  let c = Pift_obs.Registry.add_counter metrics in
+  c ~help:"store instructions retired" "pift_cpu_stores_total" t.stores;
+  c ~help:"load instructions retired" "pift_cpu_loads_total" t.loads;
+  c ~help:"instructions retired" "pift_cpu_instructions_total" t.seq

@@ -10,12 +10,8 @@
 
 type t
 
-val create :
-  ?pid:int -> ?metrics:Pift_obs.Registry.t ->
-  sink:(Pift_trace.Event.t -> unit) -> Memory.t -> t
-(** A CPU with zeroed registers.  [pid] defaults to 1.  With [metrics],
-    [pift_cpu_*] counters track instructions retired and the load/store
-    mix; without it the retire path stays untouched. *)
+val create : ?pid:int -> sink:(Pift_trace.Event.t -> unit) -> Memory.t -> t
+(** A CPU with zeroed registers.  [pid] defaults to 1. *)
 
 val memory : t -> Memory.t
 
@@ -48,3 +44,8 @@ val run : ?fuel:int -> t -> Pift_arm.Asm.fragment -> unit
     within the fragment work provided callees preserve [LR] (push/pop via
     [Stm]/[Ldm]).  Raises {!Fuel_exhausted} after [fuel] instructions
     (default [50_000_000]) to catch runaway loops. *)
+
+val export : metrics:Pift_obs.Registry.t -> t -> unit
+(** Add the CPU's totals so far to [metrics] as [pift_cpu_*] counters:
+    instructions retired across all processes ({!global_seq}) and the
+    load/store mix.  Call once, at the end of a run. *)

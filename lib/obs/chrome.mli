@@ -1,11 +1,12 @@
 (** Chrome trace-event / Perfetto JSON export and inspection.
 
-    [json] renders a merged {!Timeline} as the JSON object format
+    [json] renders per-slot {!Flight} rings as the JSON object format
     consumed by ui.perfetto.dev and chrome://tracing: a ["traceEvents"]
     array of [B]/[E] (span), [i] (instant) and [C] (counter) records
-    with timestamps in microseconds, [pid] 1 and one [tid] per pool
-    worker slot, plus [M]etadata records naming the process and each
-    worker thread.
+    with timestamps in microseconds, [pid] 1 and one [tid] per ring
+    (the ring's index, i.e. its pool worker slot; track 0 is the
+    calling domain), plus [M]etadata records naming the process and
+    each worker thread.  Each track keeps its ring's event order.
 
     Ring wrap-around can strand span halves; the exporter repairs them
     ([End] without an open span is dropped, still-open spans are closed
@@ -14,10 +15,12 @@
 
 exception Invalid of string
 
-val json : ?run:string -> Timeline.t -> Json.t
-(** [?run] names the process in the trace UI (default ["pift"]). *)
+val json : ?run:string -> Flight.t array -> Json.t
+(** [?run] names the process in the trace UI (default ["pift"]).
+    [pift_dropped_events] totals the events the rings lost to
+    wrap-around. *)
 
-val write : out_channel -> ?run:string -> Timeline.t -> unit
+val write : out_channel -> ?run:string -> Flight.t array -> unit
 (** [json] followed by a newline, serialized to [oc]. *)
 
 (** {1 Decoding} *)

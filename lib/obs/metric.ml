@@ -9,7 +9,6 @@ module Counter = struct
     c.v <- c.v + n
 
   let value c = c.v
-  let merge_into ~into c = into.v <- into.v + c.v
 end
 
 module Gauge = struct
@@ -24,13 +23,6 @@ module Gauge = struct
   let set g v = set_float g (float_of_int v)
   let value g = g.v
   let peak g = g.peak
-
-  (* Gauges from concurrent workers have no meaningful "last" value, so a
-     merge keeps the maximum of both value and peak — right for the
-     high-water readings (tainted bytes, range count) gauges carry here. *)
-  let merge_into ~into g =
-    if g.v > into.v then into.v <- g.v;
-    if g.peak > into.peak then into.peak <- g.peak
 end
 
 module Histogram = struct
@@ -76,14 +68,6 @@ module Histogram = struct
 
   let mean h =
     if h.count = 0 then 0. else float_of_int h.sum /. float_of_int h.count
-
-  let merge_into ~into h =
-    Array.iteri
-      (fun b n -> into.buckets.(b) <- into.buckets.(b) + n)
-      h.buckets;
-    into.count <- into.count + h.count;
-    into.sum <- into.sum + h.sum;
-    if h.vmax > into.vmax then into.vmax <- h.vmax
 
   (* Non-empty buckets as [(upper_bound, count)], lowest first. *)
   let nonzero_buckets h =

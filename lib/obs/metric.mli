@@ -15,9 +15,6 @@ module Counter : sig
       monotone. *)
 
   val value : t -> int
-
-  val merge_into : into:t -> t -> unit
-  (** Add this counter's total into [into]. *)
 end
 
 module Gauge : sig
@@ -32,10 +29,6 @@ module Gauge : sig
 
   val peak : t -> float
   (** Highest value ever set (the registry snapshots both). *)
-
-  val merge_into : into:t -> t -> unit
-  (** Keep the maximum of value and peak — concurrent workers have no
-      shared "last write", so a merged gauge reads as a high-water mark. *)
 end
 
 module Histogram : sig
@@ -61,7 +54,4 @@ module Histogram : sig
 
   val nonzero_buckets : t -> (int * int) list
   (** [(upper_bound, count)] for every non-empty bucket, lowest first. *)
-
-  val merge_into : into:t -> t -> unit
-  (** Pointwise bucket/count/sum addition; max of the observed maxima. *)
 end

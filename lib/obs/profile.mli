@@ -10,8 +10,7 @@
     per-subsystem percentage breakdown meaningful.
 
     One instance per worker slot, single writer, no locks; merge the
-    slots with {!merged} after a parallel region, the profiler sibling
-    of [Registry.merge]. *)
+    slots with {!merged} after a parallel region. *)
 
 type t
 

@@ -102,38 +102,12 @@ let counter_family t ?(help = "") ~label name =
     | Counter_cell c -> c
     | Gauge_cell _ | Histogram_cell _ -> assert false
 
-let gauge_family t ?(help = "") ~label name =
-  let e = entry t ~name ~help ~kind:Gauge_kind ~label:(Some label) in
-  fun value ->
-    match cell e ~value ~make:(fun () -> Gauge_cell (Gauge.create ())) with
-    | Gauge_cell g -> g
-    | Counter_cell _ | Histogram_cell _ -> assert false
+let add_counter t ?help name n = Counter.add (counter t ?help name) n
 
-(* --- merging ----------------------------------------------------------- *)
-
-let merge ~into src =
-  List.iter
-    (fun name ->
-      let se = Hashtbl.find src.entries name in
-      let de =
-        entry into ~name ~help:se.e_help ~kind:se.e_kind ~label:se.e_label
-      in
-      List.iter
-        (fun value ->
-          let make () =
-            match se.e_kind with
-            | Counter_kind -> Counter_cell (Counter.create ())
-            | Gauge_kind -> Gauge_cell (Gauge.create ())
-            | Histogram_kind -> Histogram_cell (Histogram.create ())
-          in
-          match (Hashtbl.find se.e_cells value, cell de ~value ~make) with
-          | Counter_cell s, Counter_cell d -> Counter.merge_into ~into:d s
-          | Gauge_cell s, Gauge_cell d -> Gauge.merge_into ~into:d s
-          | Histogram_cell s, Histogram_cell d ->
-              Histogram.merge_into ~into:d s
-          | _ -> assert false (* [entry] checked the kinds agree *))
-        (List.rev se.e_values_rev))
-    (List.rev src.names_rev)
+let set_gauge t ?help name ~peak v =
+  let g = gauge t ?help name in
+  Gauge.set g peak;
+  Gauge.set g v
 
 (* --- snapshots --------------------------------------------------------- *)
 

@@ -1,5 +1,8 @@
-(** Named-metric registry: the single handle a run threads through the
-    tracker, VM, CPU, and hardware model.
+(** Named-metric registry: the handle [Recorded.record]/[replay] and
+    [Accuracy.sweep] pass to each layer's end-of-run export
+    ([Cpu.export], [Vm.export], [Tracker.export], [Storage.export],
+    [Hw_model.observe]).  Layers keep plain counters while running; the
+    registry is written once, after the run.
 
     Registration is idempotent — asking twice for the same name returns
     the same cell, so independent subsystems can share a metric — and
@@ -27,24 +30,17 @@ val histogram : t -> ?help:string -> string -> Metric.Histogram.t
 val counter_family :
   t -> ?help:string -> label:string -> string -> string -> Metric.Counter.t
 (** [counter_family t ~label name] is a lookup function from label value
-    to counter cell.  Partial-apply it once and keep the closure on the
-    instrumented object; full application is a hashtable probe. *)
+    to counter cell; the family is registered even if no cell is ever
+    materialised. *)
 
-val gauge_family :
-  t -> ?help:string -> label:string -> string -> string -> Metric.Gauge.t
+val add_counter : t -> ?help:string -> string -> int -> unit
+(** [add_counter t name n] registers (or finds) the counter [name] and
+    adds [n] — the one call an end-of-run export makes per total. *)
 
-val merge : into:t -> t -> unit
-(** Fold every metric of the source registry into [into], matching by
-    name (and label value for families): counters and histograms add,
-    gauges keep the maximum of value and peak (see
-    {!Metric.Gauge.merge_into}).  Metrics missing from [into] are
-    registered in the source's registration order, so merging
-    per-worker registries worker 0 first yields the same snapshot
-    order as a serial run.  Raises [Invalid_argument] if a name is
-    already registered in [into] with a different kind or label key.
-    This is the aggregation rule behind [Pift_par]-driven sweeps: each
-    worker domain owns a private registry (no locks on the hot path)
-    and the driver merges them after the parallel region. *)
+val set_gauge : t -> ?help:string -> string -> peak:int -> int -> unit
+(** [set_gauge t name ~peak v] registers (or finds) the gauge [name],
+    sets it to [peak] and then to [v], so the snapshot reports [v] with
+    a high-water mark of at least [peak]. *)
 
 (** {2 Snapshots} *)
 

@@ -6,9 +6,9 @@ type t = { cpu : Cpu.t; heap : Heap.t; manager : Manager.t }
 
 type native = t -> args:int array -> arg_addrs:int array -> unit
 
-let create ?(pid = 1) ?metrics ~sink () =
+let create ?(pid = 1) ~sink () =
   let mem = Memory.create () in
-  let cpu = Cpu.create ~pid ?metrics ~sink mem in
+  let cpu = Cpu.create ~pid ~sink mem in
   Cpu.set cpu Reg.R6 (Tcb.base ~pid);
   { cpu; heap = Heap.create mem; manager = Manager.create () }
 

@@ -13,11 +13,9 @@ type native = t -> args:int array -> arg_addrs:int array -> unit
     conjure them).  Results are written to the caller-visible return-value
     slot ({!Tcb.retval_offset}) by executed stores. *)
 
-val create :
-  ?pid:int -> ?metrics:Pift_obs.Registry.t ->
-  sink:(Pift_trace.Event.t -> unit) -> unit -> t
+val create : ?pid:int -> sink:(Pift_trace.Event.t -> unit) -> unit -> t
 (** Fresh memory, CPU (with [r6] pointing at the process TCB), heap and
-    manager.  [metrics] is handed to {!Pift_machine.Cpu.create}. *)
+    manager. *)
 
 val pid : t -> int
 

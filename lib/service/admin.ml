@@ -58,8 +58,6 @@ let evict_tenant = Engine.evict_tenant
 let snapshot_tenant = Engine.snapshot_tenant
 let tenants = Engine.tenants
 let stats = Engine.stats
-let registries = Engine.registries
-let telemetries = Engine.telemetries
 
 (* Durability: the snapshot/restore leg of the control plane.  The
    format and file handling live in [Snapshot]; these aliases keep the

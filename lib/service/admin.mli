@@ -67,8 +67,6 @@ val evict_tenant : Engine.t -> pid:int -> bool
 val snapshot_tenant : Engine.t -> pid:int -> tenant_snapshot option
 val tenants : Engine.t -> int list
 val stats : Engine.t -> stats
-val registries : Engine.t -> Pift_obs.Registry.t array
-val telemetries : Engine.t -> Pift_obs.Telemetry.t array
 
 (** {1 Durability}
 
@@ -87,7 +85,7 @@ val persist_tenants : Engine.t -> tenant_persisted list
 
 val restore_tenant : Engine.t -> tenant_persisted -> unit
 (** See {!Engine.restore_tenant}: fresh pid slots only; occupancy is
-    folded into the shard gauge. *)
+    folded into the shard's byte total. *)
 
 val save_snapshot : ?sources:Snapshot.source_entry list -> Engine.t -> string -> unit
 (** Write a [PIFTSNAP1] snapshot of every resident tenant, atomically. *)

@@ -6,8 +6,8 @@
     processes shard 0's items inline; shards 1..[shards]-1 each drain a
     bounded queue on their own slot.  A shard holds its resident
     tenants — one pid, one private {!Pift_core.Tracker} stack (store +
-    optional provenance sidecar) — plus a per-shard metrics registry
-    and optional telemetry ring.
+    optional provenance sidecar) — plus plain per-shard totals read
+    through {!stats}.
 
     {b Sharding.}  Pids are partitioned by contiguous range:
     [shard_of pid = (pid / pid_range) mod shards].  Routing is pure
@@ -51,7 +51,6 @@ val create :
   ?pid_range:int ->
   ?drop_when_full:bool ->
   ?with_origins:bool ->
-  ?telemetry_capacity:int ->
   unit ->
   t
 (** [shards] (default 1) sets the shard count and builds a pool of
@@ -63,13 +62,11 @@ val create :
     [2{^20}]) is the width of the contiguous pid blocks mapped to one
     shard.  [drop_when_full:true] switches backpressure from blocking
     the router to dropping batches (counted per shard, surfaced in
-    {!stats} and metrics).  [queue_capacity], [batch] and
+    {!stats}).  [queue_capacity], [batch] and
     [drop_when_full] apply only to shards 1 and up: shard 0 has no
-    queue, reports 0 batches and never drops.  [with_origins] threads a provenance sidecar
-    through every tenant so sink verdicts carry origin sets.
-    [telemetry_capacity > 0] attaches one telemetry ring per shard
-    (sources: tainted bytes, tenant count, queue depth; bumped once per
-    consumed item). *)
+    queue, reports 0 batches and never drops.  [with_origins] threads a
+    provenance sidecar through every tenant so sink verdicts carry
+    origin sets. *)
 
 val run : t -> stream -> unit
 (** Drain [stream] to completion on the calling domain: route every
@@ -93,7 +90,6 @@ val with_engine :
   ?pid_range:int ->
   ?drop_when_full:bool ->
   ?with_origins:bool ->
-  ?telemetry_capacity:int ->
   (t -> 'a) ->
   'a
 (** [create], run [f], and {!shutdown} (also on exception). *)
@@ -127,7 +123,7 @@ val untaint_range : t -> pid:int -> Pift_util.Range.t -> unit
 
 val evict_tenant : t -> pid:int -> bool
 (** Release the tenant's store, provenance, and window state, subtract
-    its bytes from the shard occupancy gauge, and forget it.  Returns
+    its bytes from the shard's occupancy total, and forget it.  Returns
     [false] if the pid was not resident.  A later touch of the same pid
     starts a clean tenant. *)
 
@@ -173,8 +169,8 @@ val restore_tenant : t -> tenant_persisted -> unit
     whatever shard the {e current} config routes its pid to, so a
     snapshot restores cleanly into an engine with a different shard
     count.  The restored occupancy is folded into the shard's byte
-    gauge (so a subsequent eviction returns the gauge to the
-    survivors' baseline).  Raises [Invalid_argument] if the pid is
+    total (so a subsequent eviction returns it to the survivors'
+    baseline).  Raises [Invalid_argument] if the pid is
     already resident — restore into fresh or evicted slots only. *)
 
 (** {1 Fault injection}
@@ -225,12 +221,3 @@ val shards : t -> int
 val policy : t -> Pift_core.Policy.t
 val pid_range : t -> int
 val with_origins : t -> bool
-
-val registries : t -> Pift_obs.Registry.t array
-(** Per-shard metrics registries, by shard id ([pift_service_*]
-    counters and gauges).  Merge into one with
-    {!Pift_obs.Registry.merge} for a combined snapshot. *)
-
-val telemetries : t -> Pift_obs.Telemetry.t array
-(** Per-shard telemetry rings (empty array unless created with
-    [telemetry_capacity > 0]). *)

@@ -8,7 +8,7 @@
    consumer frees a slot (the default, deterministic — nothing is ever
    lost, the producer just runs at the slowest shard's pace), or drop
    the batch and count the items ([dropped] is surfaced through the
-   shard's registry and telemetry).
+   engine's per-shard stats).
 
    [abort] is the failure path: a consumer that dies mid-stream aborts
    its queue so the producer cannot block forever against a reader that

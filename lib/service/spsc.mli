@@ -8,8 +8,8 @@
     Backpressure policy is chosen per {!push}: blocking (default;
     deterministic, the producer runs at the slowest consumer's pace) or
     dropping (the batch is discarded and its {e items} counted in
-    {!dropped} — surfaced by the engine through per-shard metrics and
-    telemetry). *)
+    {!dropped} — surfaced by the engine through its per-shard
+    stats). *)
 
 type 'a t
 

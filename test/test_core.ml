@@ -243,13 +243,10 @@ let test_tracker_per_pid () =
     (Tracker.is_tainted t ~pid:2 (r 310 311))
 
 (* Regression: a hand-built 10-event trace with known taint traffic must
-   yield the same taint_ops/untaint_ops/lookups through the legacy
-   [stats] record and the [pift_tracker_*] metrics registry. *)
+   yield the same taint_ops/untaint_ops/lookups through the [stats]
+   record and the exported [pift_tracker_*] metrics. *)
 let test_tracker_ten_event_counts () =
-  let registry = Pift_obs.Registry.create () in
-  let t =
-    Tracker.create ~policy:(Policy.make ~ni:4 ~nt:2 ()) ~metrics:registry ()
-  in
+  let t = Tracker.create ~policy:(Policy.make ~ni:4 ~nt:2 ()) () in
   Tracker.taint_source t ~pid:1 (r 100 120);
   feed t
     [
@@ -270,6 +267,8 @@ let test_tracker_ten_event_counts () =
   checki "tainted loads" 2 s.Tracker.tainted_loads;
   checki "taint ops" 3 s.Tracker.taint_ops;
   checki "untaint ops" 1 s.Tracker.untaint_ops;
+  let registry = Pift_obs.Registry.create () in
+  Tracker.export ~metrics:registry t;
   let metric name =
     Option.value ~default:(-1) (Pift_obs.Registry.find_counter registry name)
   in
@@ -576,85 +575,83 @@ let test_storage_context_switch () =
   checkb "still visible via secondary" true (Storage.lookup s ~pid:1 (r 0 9));
   checkb "pid 2 too" true (Storage.lookup s ~pid:2 (r 20 29))
 
-(* Eviction paths under a live metrics registry: capacity pressure under
+(* Eviction paths through the metrics export: capacity pressure under
    Lru_writeback must count evictions and writebacks (and keep evicted
    state reachable through secondary hits + promotion), Drop must count
    drops and lose the range, and the occupancy gauge must track valid
-   primary entries. *)
-let storage_counter registry name =
-  match Pift_obs.Registry.find_counter registry name with
+   primary entries.  Each read exports the totals so far into a fresh
+   registry. *)
+let exported s =
+  let registry = Pift_obs.Registry.create () in
+  Storage.export ~metrics:registry s;
+  registry
+
+let storage_counter s name =
+  match Pift_obs.Registry.find_counter (exported s) name with
   | Some v -> v
   | None -> Alcotest.failf "counter %s not registered" name
 
+let storage_gauge s name = Pift_obs.Registry.find_gauge (exported s) name
+
 let test_storage_lru_eviction_metrics () =
-  let registry = Pift_obs.Registry.create () in
-  let s =
-    Storage.create ~entries:2 ~eviction:Storage.Lru_writeback ~metrics:registry
-      ()
-  in
+  let s = Storage.create ~entries:2 ~eviction:Storage.Lru_writeback () in
   Storage.insert s ~pid:1 (r 0 9);
   Storage.insert s ~pid:1 (r 20 29);
   checkb "no eviction while capacity lasts" true
-    (storage_counter registry "pift_storage_evictions_total" = 0);
+    (storage_counter s "pift_storage_evictions_total" = 0);
   (* touch the first entry so the second is least recently used *)
   checkb "primary hit" true (Storage.lookup s ~pid:1 (r 0 0));
   Storage.insert s ~pid:1 (r 40 49);
-  checki "one eviction" 1
-    (storage_counter registry "pift_storage_evictions_total");
+  checki "one eviction" 1 (storage_counter s "pift_storage_evictions_total");
   checki "eviction wrote back" 1
-    (storage_counter registry "pift_storage_writebacks_total");
+    (storage_counter s "pift_storage_writebacks_total");
   checkb "occupancy gauge full" true
-    (Pift_obs.Registry.find_gauge registry "pift_storage_occupancy"
-    = Some 2.0);
+    (storage_gauge s "pift_storage_occupancy" = Some 2.0);
   (* the evicted range is only in secondary storage now: a lookup is
      a secondary hit and promotes it back, evicting the next LRU *)
   checkb "evicted range still reachable" true
     (Storage.lookup s ~pid:1 (r 20 29));
   checki "secondary hit counted" 1
-    (storage_counter registry "pift_storage_secondary_hits_total");
+    (storage_counter s "pift_storage_secondary_hits_total");
   checki "promotion evicted the next LRU" 2
-    (storage_counter registry "pift_storage_evictions_total");
+    (storage_counter s "pift_storage_evictions_total");
   checki "second writeback" 2
-    (storage_counter registry "pift_storage_writebacks_total");
+    (storage_counter s "pift_storage_writebacks_total");
   checki "promotion is an insertion" 4
-    (storage_counter registry "pift_storage_insertions_total");
+    (storage_counter s "pift_storage_insertions_total");
   (* the newly-evicted range went through the same cycle *)
   checkb "second evicted range still reachable" true
     (Storage.lookup s ~pid:1 (r 0 9));
   checki "second secondary hit" 2
-    (storage_counter registry "pift_storage_secondary_hits_total");
+    (storage_counter s "pift_storage_secondary_hits_total");
   checki "drops never fire under Lru_writeback" 0
-    (storage_counter registry "pift_storage_drops_total");
+    (storage_counter s "pift_storage_drops_total");
   (* counters mirror stats exactly *)
   let st = Storage.stats s in
   checki "stats/evictions agree" st.Storage.evictions
-    (storage_counter registry "pift_storage_evictions_total");
+    (storage_counter s "pift_storage_evictions_total");
   checki "stats/writebacks agree" st.Storage.writebacks
-    (storage_counter registry "pift_storage_writebacks_total");
+    (storage_counter s "pift_storage_writebacks_total");
   checki "stats/secondary agree" st.Storage.secondary_hits
-    (storage_counter registry "pift_storage_secondary_hits_total");
+    (storage_counter s "pift_storage_secondary_hits_total");
   checki "stats/lookups agree" st.Storage.lookups
-    (storage_counter registry "pift_storage_lookups_total")
+    (storage_counter s "pift_storage_lookups_total")
 
 let test_storage_drop_metrics () =
-  let registry = Pift_obs.Registry.create () in
-  let s =
-    Storage.create ~entries:2 ~eviction:Storage.Drop ~metrics:registry ()
-  in
+  let s = Storage.create ~entries:2 ~eviction:Storage.Drop () in
   Storage.insert s ~pid:1 (r 0 9);
   Storage.insert s ~pid:1 (r 20 29);
   Storage.insert s ~pid:1 (r 40 49);
-  checki "one drop" 1 (storage_counter registry "pift_storage_drops_total");
+  checki "one drop" 1 (storage_counter s "pift_storage_drops_total");
   checki "no evictions under Drop" 0
-    (storage_counter registry "pift_storage_evictions_total");
+    (storage_counter s "pift_storage_evictions_total");
   checki "no writebacks under Drop" 0
-    (storage_counter registry "pift_storage_writebacks_total");
+    (storage_counter s "pift_storage_writebacks_total");
   checkb "dropped range is lost" false (Storage.lookup s ~pid:1 (r 40 49));
   checkb "no secondary rescue under Drop" true
-    (storage_counter registry "pift_storage_secondary_hits_total" = 0);
+    (storage_counter s "pift_storage_secondary_hits_total" = 0);
   checkb "occupancy gauge stays at capacity" true
-    (Pift_obs.Registry.find_gauge registry "pift_storage_occupancy"
-    = Some 2.0);
+    (storage_gauge s "pift_storage_occupancy" = Some 2.0);
   checkb "resident ranges survive" true
     (Storage.lookup s ~pid:1 (r 0 9) && Storage.lookup s ~pid:1 (r 20 29))
 

@@ -1,9 +1,8 @@
 (* Tests for the flight-recorder layer: ring wrap-around semantics,
-   timeline merging, Chrome trace export/validation round-trips, report
-   format sniffing, and the domain-safety of the Span collector. *)
+   per-ring tracks in the Chrome export, export/validation round-trips,
+   report format sniffing, and the domain-safety of the Span collector. *)
 
 module Flight = Pift_obs.Flight
-module Timeline = Pift_obs.Timeline
 module Chrome = Pift_obs.Chrome
 module Json = Pift_obs.Json
 module Sink = Pift_obs.Sink
@@ -63,6 +62,16 @@ let test_ring_capacity_zero_noop () =
 
 (* --- timeline merge ----------------------------------------------------- *)
 
+(* Non-metadata trace events as (tid, name, ts), in emitted order. *)
+let trace_events j =
+  let field k conv e = Option.get (Option.bind (Json.member k e) conv) in
+  Option.get (Option.bind (Json.member "traceEvents" j) Json.to_list)
+  |> List.filter (fun e -> field "ph" Json.to_str e <> "M")
+  |> List.map (fun e ->
+         ( field "tid" Json.to_int e,
+           field "name" Json.to_str e,
+           field "ts" Json.to_float e ))
+
 let test_timeline_merge_preserves_order () =
   let a = Flight.create ~capacity:8 () in
   let b = Flight.create ~capacity:8 () in
@@ -72,27 +81,24 @@ let test_timeline_merge_preserves_order () =
   Flight.instant a "a2";
   Flight.instant b "b2";
   Flight.instant a "a3";
-  let tl = Timeline.of_rings [| a; b |] in
-  checki "event count" 5 (Timeline.event_count tl);
-  (match Timeline.tracks tl with
-  | [ ta; tb ] ->
-      checki "tid 0" 0 ta.Timeline.tid;
-      checki "tid 1" 1 tb.Timeline.tid;
-      checkb "track a order" true
-        (List.map (fun e -> e.Flight.name) ta.Timeline.events
-        = [ "a1"; "a2"; "a3" ]);
-      checkb "track b order" true
-        (List.map (fun e -> e.Flight.name) tb.Timeline.events
-        = [ "b1"; "b2" ])
-  | l -> Alcotest.failf "expected 2 tracks, got %d" (List.length l));
+  let events = trace_events (Chrome.json [| a; b |]) in
+  checki "event count" 5 (List.length events);
+  let track tid =
+    List.filter_map
+      (fun (t, name, _) -> if t = tid then Some name else None)
+      events
+  in
+  checkb "tids 0 and 1" true
+    (List.sort_uniq compare (List.map (fun (t, _, _) -> t) events) = [ 0; 1 ]);
+  checkb "track a order" true (track 0 = [ "a1"; "a2"; "a3" ]);
+  checkb "track b order" true (track 1 = [ "b1"; "b2" ]);
+  let ts = List.map (fun (_, _, ts) -> ts) events in
   checkb "bounds ordered" true
-    (match Timeline.span_bounds tl with
-    | Some (lo, hi) -> lo <= hi
-    | None -> false)
+    (List.fold_left min infinity ts <= List.fold_left max neg_infinity ts)
 
 (* --- Chrome export round-trip ------------------------------------------- *)
 
-let sample_timeline () =
+let sample_rings () =
   let a = Flight.create ~capacity:64 () in
   let b = Flight.create ~capacity:64 () in
   Flight.begin_ a "cell(1,1)";
@@ -103,10 +109,10 @@ let sample_timeline () =
   Flight.begin_ b "inner";
   Flight.end_ b "inner";
   Flight.end_ b "cell(1,2)";
-  Timeline.of_rings [| a; b |]
+  [| a; b |]
 
 let test_chrome_round_trip () =
-  let j = Chrome.json ~run:"test" (sample_timeline ()) in
+  let j = Chrome.json ~run:"test" (sample_rings ()) in
   (* serialized text parses back to the same structure *)
   let reparsed = Json.of_string (Json.to_string j) in
   match Chrome.validate reparsed with
@@ -125,7 +131,7 @@ let test_chrome_repairs_wrap_imbalance () =
   Flight.end_ r "lost-begin";
   Flight.begin_ r "never-closed";
   Flight.instant r "i";
-  let j = Chrome.json (Timeline.of_rings [| r |]) in
+  let j = Chrome.json [| r |] in
   match Chrome.validate j with
   | Error msg -> Alcotest.failf "repaired trace invalid: %s" msg
   | Ok c ->
@@ -153,7 +159,7 @@ let test_chrome_validate_rejects () =
     {|{"traceEvents":[{"name":"x","ph":"Z","pid":1,"tid":0,"ts":1.0}]}|}
 
 let test_chrome_summarize_smoke () =
-  let j = Chrome.json ~run:"test" (sample_timeline ()) in
+  let j = Chrome.json ~run:"test" (sample_rings ()) in
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
   Chrome.summarize j ppf ();
@@ -208,7 +214,7 @@ let test_sweep_identical_with_tracing () =
   checkb "rings actually recorded" true
     (Array.exists (fun r -> Flight.written r > 0) rings);
   (* and the recorded rings export to a valid trace *)
-  match Chrome.validate (Chrome.json (Timeline.of_rings rings)) with
+  match Chrome.validate (Chrome.json rings) with
   | Ok c -> checkb "has cell spans" true (c.Chrome.c_spans > 0)
   | Error msg -> Alcotest.failf "sweep trace invalid: %s" msg
 

@@ -1,6 +1,7 @@
 (* Tests for Pift_obs: metric primitives, registry snapshots, span
-   nesting, sink golden outputs, and the guarantee that instrumenting a
-   replay does not perturb the legacy Tracker.stats record. *)
+   nesting, sink golden outputs, the guarantee that exporting a replay's
+   metrics does not perturb the Tracker.stats record, and a golden of
+   every layer's end-of-run export. *)
 
 module Metric = Pift_obs.Metric
 module Registry = Pift_obs.Registry
@@ -223,69 +224,6 @@ let test_prometheus_label_escaping () =
   checkb "tab passes through raw" true
     (contains "esc_total{kind=\"tab\there\"} 1")
 
-(* --- registry merge edge cases ------------------------------------------- *)
-
-let test_merge_empty_sides () =
-  (* empty source into a populated target: nothing moves *)
-  let into = golden_registry () in
-  let before = Registry.snapshot into in
-  Registry.merge ~into (Registry.create ());
-  checkb "empty source is identity" true (Registry.snapshot into = before);
-  (* populated source into an empty target: everything lands, in the
-     source's registration order *)
-  let into = Registry.create () in
-  Registry.merge ~into (golden_registry ());
-  checkb "empty target adopts the source" true
-    (Registry.snapshot into = Registry.snapshot (golden_registry ()))
-
-let test_merge_histogram_boundaries () =
-  (* values straddling a power-of-two bucket edge must merge bucket by
-     bucket, not by re-bucketing the sum *)
-  let mk vs =
-    let reg = Registry.create () in
-    let h = Registry.histogram reg "m_sizes" in
-    List.iter (Metric.Histogram.observe h) vs;
-    reg
-  in
-  let into = mk [ 7; 8 ] in
-  (* upper edge of bucket 3, lower edge of bucket 4 *)
-  Registry.merge ~into (mk [ 1; 7; 16 ]);
-  match Registry.snapshot into with
-  | [
-   {
-     Registry.s_points =
-       [ ([], Registry.P_histogram { count; sum; vmax; buckets }) ];
-     _;
-   };
-  ] ->
-      checki "counts add" 5 count;
-      checki "sums add" 39 sum;
-      checki "max of maxes" 16 vmax;
-      Alcotest.(check (list (pair int int)))
-        "buckets add cell-wise"
-        [ (1, 1); (7, 2); (15, 1); (31, 1) ]
-        buckets
-  | _ -> Alcotest.fail "unexpected snapshot shape"
-
-let test_merge_four_domain_gauge_max () =
-  (* the sweep merges one registry per worker slot; a high-water gauge
-     must surface the global maximum whichever slot saw it *)
-  let slot v peak =
-    let reg = Registry.create () in
-    let g = Registry.gauge reg "m_bytes" in
-    Metric.Gauge.set g peak;
-    Metric.Gauge.set g v;
-    reg
-  in
-  let into = slot 3 5 in
-  List.iter (Registry.merge ~into) [ slot 2 9; slot 4 4; slot 1 7 ];
-  match Registry.snapshot into with
-  | [ { Registry.s_points = [ ([], Registry.P_gauge { value; peak }) ]; _ } ]
-    ->
-      Alcotest.(check (float 1e-9)) "value is the slot max" 4. value;
-      Alcotest.(check (float 1e-9)) "peak is the global high-water" 9. peak
-  | _ -> Alcotest.fail "unexpected snapshot shape"
-
 (* --- instrumentation must not perturb results ---------------------------- *)
 
 let test_metrics_do_not_change_stats () =
@@ -309,6 +247,175 @@ let test_metrics_do_not_change_stats () =
     (metric "pift_tracker_untaint_ops_total");
   checki "lookups" s.Tracker.lookups (metric "pift_tracker_lookups_total")
 
+(* --- end-of-run exports ---------------------------------------------------- *)
+
+(* Every layer's export into one registry, in the order [pift run-app
+   --metrics-out] drives them (CPU and VM after recording, store and
+   tracker after the replay, the storage pass, the hardware model),
+   followed by a 2-job sweep.  The text pins metric names, help
+   strings, labels, values, gauge peaks and registration order. *)
+let export_golden =
+  {|# HELP pift_cpu_stores_total store instructions retired
+# TYPE pift_cpu_stores_total counter
+pift_cpu_stores_total 61
+# HELP pift_cpu_loads_total load instructions retired
+# TYPE pift_cpu_loads_total counter
+pift_cpu_loads_total 67
+# HELP pift_cpu_instructions_total instructions retired
+# TYPE pift_cpu_instructions_total counter
+pift_cpu_instructions_total 551
+# HELP pift_vm_bytecodes_total bytecodes dispatched, by execution mode
+# TYPE pift_vm_bytecodes_total counter
+pift_vm_bytecodes_total{mode="interpreter"} 11
+# HELP pift_vm_frag_cache_misses_total fragments translated on a cache miss
+# TYPE pift_vm_frag_cache_misses_total counter
+pift_vm_frag_cache_misses_total 11
+# HELP pift_vm_frag_cache_hits_total translation-fragment cache hits
+# TYPE pift_vm_frag_cache_hits_total counter
+pift_vm_frag_cache_hits_total 0
+# HELP pift_store_add_ops_total range insertions into the taint store
+# TYPE pift_store_add_ops_total counter
+pift_store_add_ops_total 35
+# HELP pift_store_remove_ops_total range removals from the taint store
+# TYPE pift_store_remove_ops_total counter
+pift_store_remove_ops_total 1
+# HELP pift_store_merge_ops_total insertions coalesced into an existing range
+# TYPE pift_store_merge_ops_total counter
+pift_store_merge_ops_total 29
+# HELP pift_store_ranges distinct ranges held by the store
+# TYPE pift_store_ranges gauge
+pift_store_ranges 5
+# TYPE pift_store_ranges_peak gauge
+pift_store_ranges_peak 6
+# HELP pift_tracker_window_opens_total tainting windows opened or restarted, per process
+# TYPE pift_tracker_window_opens_total counter
+pift_tracker_window_opens_total{pid="1"} 33
+# HELP pift_tracker_ranges distinct tainted ranges
+# TYPE pift_tracker_ranges gauge
+pift_tracker_ranges 5
+# TYPE pift_tracker_ranges_peak gauge
+pift_tracker_ranges_peak 6
+# HELP pift_tracker_tainted_bytes currently tainted bytes across processes (Fig. 15)
+# TYPE pift_tracker_tainted_bytes gauge
+pift_tracker_tainted_bytes 100
+# TYPE pift_tracker_tainted_bytes_peak gauge
+pift_tracker_tainted_bytes_peak 104
+# HELP pift_tracker_untaint_ops_total store ranges untainted (Fig. 16)
+# TYPE pift_tracker_untaint_ops_total counter
+pift_tracker_untaint_ops_total 1
+# HELP pift_tracker_taint_ops_total store ranges tainted by propagation (Fig. 16)
+# TYPE pift_tracker_taint_ops_total counter
+pift_tracker_taint_ops_total 34
+# HELP pift_tracker_tainted_loads_total queries that hit and opened a window
+# TYPE pift_tracker_tainted_loads_total counter
+pift_tracker_tainted_loads_total 33
+# HELP pift_tracker_lookups_total load-time taint queries
+# TYPE pift_tracker_lookups_total counter
+pift_tracker_lookups_total 67
+# HELP pift_tracker_events_total instruction events observed
+# TYPE pift_tracker_events_total counter
+pift_tracker_events_total 551
+# HELP pift_storage_occupancy valid primary entries
+# TYPE pift_storage_occupancy gauge
+pift_storage_occupancy 5
+# TYPE pift_storage_occupancy_peak gauge
+pift_storage_occupancy_peak 6
+# HELP pift_storage_writebacks_total entries written back to secondary storage
+# TYPE pift_storage_writebacks_total counter
+pift_storage_writebacks_total 0
+# HELP pift_storage_drops_total insertions dropped when full
+# TYPE pift_storage_drops_total counter
+pift_storage_drops_total 0
+# HELP pift_storage_evictions_total LRU evictions
+# TYPE pift_storage_evictions_total counter
+pift_storage_evictions_total 0
+# HELP pift_storage_insertions_total range-cache insertions
+# TYPE pift_storage_insertions_total counter
+pift_storage_insertions_total 35
+# HELP pift_storage_secondary_hits_total secondary (main-memory) hits after a primary miss
+# TYPE pift_storage_secondary_hits_total counter
+pift_storage_secondary_hits_total 0
+# HELP pift_storage_primary_hits_total primary (on-chip) hits
+# TYPE pift_storage_primary_hits_total counter
+pift_storage_primary_hits_total 35
+# HELP pift_storage_lookups_total range-cache lookups
+# TYPE pift_storage_lookups_total counter
+pift_storage_lookups_total 95
+# HELP pift_hw_total_insns instructions in the modelled trace
+# TYPE pift_hw_total_insns gauge
+pift_hw_total_insns 551
+# TYPE pift_hw_total_insns_peak gauge
+pift_hw_total_insns_peak 551
+# HELP pift_hw_pift_events loads + stores PIFT inspects
+# TYPE pift_hw_pift_events gauge
+pift_hw_pift_events 128
+# TYPE pift_hw_pift_events_peak gauge
+pift_hw_pift_events_peak 128
+# HELP pift_hw_stall_cycles modelled CPU stall cycles from slow-path lookups (Fig. 17)
+# TYPE pift_hw_stall_cycles gauge
+pift_hw_stall_cycles 0
+# TYPE pift_hw_stall_cycles_peak gauge
+pift_hw_stall_cycles_peak 0
+# HELP pift_hw_overhead_pct PIFT overhead over untracked execution, percent
+# TYPE pift_hw_overhead_pct gauge
+pift_hw_overhead_pct 0
+# TYPE pift_hw_overhead_pct_peak gauge
+pift_hw_overhead_pct_peak 0
+# HELP pift_hw_sw_dift_overhead_pct inline software DIFT overhead, percent
+# TYPE pift_hw_sw_dift_overhead_pct gauge
+pift_hw_sw_dift_overhead_pct 400
+# TYPE pift_hw_sw_dift_overhead_pct_peak gauge
+pift_hw_sw_dift_overhead_pct_peak 400
+# HELP pift_hw_event_reduction instructions per PIFT-processed event
+# TYPE pift_hw_event_reduction gauge
+pift_hw_event_reduction 4.30469
+# TYPE pift_hw_event_reduction_peak gauge
+pift_hw_event_reduction_peak 4.30469
+# HELP pift_sweep_trace_insns instructions per recorded app trace
+# TYPE pift_sweep_trace_insns histogram
+pift_sweep_trace_insns_bucket{le="31"} 1
+pift_sweep_trace_insns_bucket{le="255"} 3
+pift_sweep_trace_insns_bucket{le="1023"} 4
+pift_sweep_trace_insns_bucket{le="+Inf"} 4
+pift_sweep_trace_insns_sum 968
+pift_sweep_trace_insns_count 4
+# HELP pift_sweep_replays_total tracker replays across the NIxNT grid
+# TYPE pift_sweep_replays_total counter
+pift_sweep_replays_total 800
+# HELP pift_sweep_apps_total apps recorded by the sweep
+# TYPE pift_sweep_apps_total counter
+pift_sweep_apps_total 4
+|}
+
+let test_export_golden () =
+  let registry = Registry.create () in
+  let app = Option.get (Pift_workloads.Droidbench.find "StringConcat1") in
+  let recorded = Recorded.record ~metrics:registry app in
+  ignore (Recorded.replay ~metrics:registry ~policy:Policy.default recorded);
+  let storage = Pift_core.Storage.create () in
+  ignore
+    (Recorded.replay
+       ~store:(Pift_core.Store.of_storage storage)
+       ~policy:Policy.default recorded);
+  Pift_core.Storage.export ~metrics:registry storage;
+  let trace = recorded.Recorded.trace in
+  Pift_core.Hw_model.observe ~metrics:registry
+    (Pift_core.Hw_model.estimate
+       ~total_insns:(Pift_trace.Trace.length trace)
+       ~loads:(Pift_trace.Trace.loads trace)
+       ~stores:(Pift_trace.Trace.stores trace)
+       ~secondary_hits:
+         (Pift_core.Storage.stats storage).Pift_core.Storage.secondary_hits
+       ());
+  let apps =
+    List.filteri (fun i _ -> i < 4) Pift_workloads.Droidbench.subset48
+  in
+  ignore (Pift_eval.Accuracy.sweep ~metrics:registry ~jobs:2 apps);
+  checks "prometheus text" export_golden
+    (Format.asprintf "%a"
+       (fun ppf () -> Sink.prometheus (Registry.snapshot registry) ppf ())
+       ())
+
 let () =
   Alcotest.run "pift_obs"
     [
@@ -325,17 +432,14 @@ let () =
           Alcotest.test_case "prometheus label escaping" `Quick
             test_prometheus_label_escaping;
         ] );
-      ( "merge",
-        [
-          Alcotest.test_case "empty sides" `Quick test_merge_empty_sides;
-          Alcotest.test_case "histogram bucket boundaries" `Quick
-            test_merge_histogram_boundaries;
-          Alcotest.test_case "four-domain gauge max" `Quick
-            test_merge_four_domain_gauge_max;
-        ] );
       ( "replay",
         [
           Alcotest.test_case "stats unchanged under metrics" `Quick
             test_metrics_do_not_change_stats;
+        ] );
+      ( "export",
+        [
+          Alcotest.test_case "run-app and sweep prometheus golden" `Quick
+            test_export_golden;
         ] );
     ]

@@ -1,8 +1,7 @@
 (* Tests for Pift_par: pool scheduling semantics (ordering, chunking,
-   exception propagation), Registry.merge as the per-domain metrics
-   aggregation rule, and the end-to-end determinism guarantee — a
+   exception propagation) and the end-to-end determinism guarantee — a
    parallel Accuracy.sweep must be indistinguishable from a serial one,
-   cells and merged metrics both.  PIFT_TEST_JOBS overrides the domain
+   cells and metrics both.  PIFT_TEST_JOBS overrides the domain
    count used by the parallel runs (default 4; CI also runs at 2). *)
 
 module Pool = Pift_par.Pool
@@ -108,78 +107,6 @@ let test_map_slots_worker_bounds () =
       checkb "results by input index" true
         (out = Array.init 64 (fun i -> 2 * i)))
 
-(* --- Registry.merge ------------------------------------------------------ *)
-
-let test_merge_counters_gauges () =
-  let a = Registry.create () and b = Registry.create () in
-  Metric.Counter.add (Registry.counter a "ops_total") 3;
-  Metric.Counter.add (Registry.counter b "ops_total") 4;
-  let ga = Registry.gauge a "bytes" and gb = Registry.gauge b "bytes" in
-  Metric.Gauge.set ga 10;
-  Metric.Gauge.set ga 2;
-  (* a: value 2, peak 10 *)
-  Metric.Gauge.set gb 6;
-  (* b: value 6, peak 6 *)
-  Registry.merge ~into:a b;
-  checki "counters add" 7 (Option.get (Registry.find_counter a "ops_total"));
-  Alcotest.(check (float 1e-9))
-    "gauge keeps max value" 6.
-    (Option.get (Registry.find_gauge a "bytes"));
-  (match Registry.snapshot a with
-  | [ _; bytes ] -> (
-      match bytes.Registry.s_points with
-      | [ ([], Registry.P_gauge { peak; _ }) ] ->
-          Alcotest.(check (float 1e-9)) "gauge keeps max peak" 10. peak
-      | _ -> Alcotest.fail "unexpected gauge point")
-  | _ -> Alcotest.fail "expected 2 samples");
-  (* source registry is untouched *)
-  checki "src counter intact" 4
-    (Option.get (Registry.find_counter b "ops_total"))
-
-let test_merge_histograms_and_families () =
-  let a = Registry.create () and b = Registry.create () in
-  let ha = Registry.histogram a "trace_len" in
-  List.iter (Metric.Histogram.observe ha) [ 1; 2; 100 ];
-  let hb = Registry.histogram b "trace_len" in
-  List.iter (Metric.Histogram.observe hb) [ 3; 200 ];
-  let fam_b = Registry.counter_family b ~label:"pid" "per_pid_total" in
-  Metric.Counter.incr (fam_b "1");
-  Metric.Counter.add (fam_b "2") 5;
-  Registry.merge ~into:a b;
-  (match Registry.snapshot a with
-  | [ h; fam ] ->
-      (match h.Registry.s_points with
-      | [ ([], Registry.P_histogram { count; sum; vmax; _ }) ] ->
-          checki "hist count" 5 count;
-          checki "hist sum" 306 sum;
-          checki "hist vmax" 200 vmax
-      | _ -> Alcotest.fail "unexpected histogram point");
-      checks "family registered by merge" "per_pid_total"
-        fam.Registry.s_name;
-      (match fam.Registry.s_points with
-      | [
-       ([ ("pid", "1") ], Registry.P_counter 1);
-       ([ ("pid", "2") ], Registry.P_counter 5);
-      ] ->
-          ()
-      | _ -> Alcotest.fail "unexpected family points")
-  | l -> Alcotest.failf "expected 2 samples, got %d" (List.length l));
-  (* kind conflict still raises through merge *)
-  let c = Registry.create () in
-  ignore (Registry.gauge c "trace_len");
-  checkb "merge kind conflict raises" true
-    (try
-       Registry.merge ~into:c a;
-       false
-     with Invalid_argument _ -> true)
-
-let test_merge_empty_is_identity () =
-  let a = Registry.create () in
-  Metric.Counter.add (Registry.counter a "n") 2;
-  let before = Registry.snapshot a in
-  Registry.merge ~into:a (Registry.create ());
-  checkb "merge of empty is identity" true (before = Registry.snapshot a)
-
 (* --- sweep determinism (serial vs parallel) ------------------------------ *)
 
 let strip_spans samples =
@@ -209,7 +136,7 @@ let test_sweep_parallel_deterministic () =
   checkb "cells sorted" true (keys = List.sort compare keys);
   checki "cell count" (List.length nis * List.length nts)
     (List.length serial.Accuracy.cells);
-  checkb "identical merged metrics" true
+  checkb "identical metrics" true
     (strip_spans serial_snap = strip_spans parallel_snap)
 
 let () =
@@ -229,15 +156,6 @@ let () =
             test_map_reduce_fold_order;
           Alcotest.test_case "map_slots worker bounds" `Quick
             test_map_slots_worker_bounds;
-        ] );
-      ( "registry merge",
-        [
-          Alcotest.test_case "counters and gauges" `Quick
-            test_merge_counters_gauges;
-          Alcotest.test_case "histograms and families" `Quick
-            test_merge_histograms_and_families;
-          Alcotest.test_case "empty merge is identity" `Quick
-            test_merge_empty_is_identity;
         ] );
       ( "sweep determinism",
         [

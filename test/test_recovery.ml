@@ -29,7 +29,6 @@ module Policy = Pift_core.Policy
 module Store = Pift_core.Store
 module Tracker = Pift_core.Tracker
 module Provenance = Pift_core.Provenance
-module Registry = Pift_obs.Registry
 module Event = Pift_trace.Event
 module Insn = Pift_arm.Insn
 module Droidbench = Pift_workloads.Droidbench
@@ -658,29 +657,23 @@ let test_engine_survives_fault () =
 
 (* --- restore / evict occupancy -------------------------------------------- *)
 
-let gauge_bytes eng =
-  Array.fold_left
-    (fun acc reg ->
-      match Registry.find_gauge reg "pift_service_tainted_bytes" with
-      | Some v -> acc +. v
-      | None -> acc)
-    0. (Admin.registries eng)
+let shard_bytes eng = (Admin.stats eng).Admin.st_tainted_bytes
 
 let test_restore_then_evict_gauge () =
   run_engine ~shards:2 (fun eng sources ->
       Ingest.run eng sources;
       let pid0 = Ingest.tenant_pid 0 in
-      let full = int_of_float (gauge_bytes eng) in
+      let full = shard_bytes eng in
       let ts_before = Option.get (Admin.snapshot_tenant eng ~pid:pid0) in
       let tp0 = Option.get (Admin.persist_tenant eng ~pid:pid0) in
       checkb "evicted" true (Admin.evict_tenant eng ~pid:pid0);
-      let survivors = int_of_float (gauge_bytes eng) in
+      let survivors = shard_bytes eng in
       checki "eviction released the tenant's bytes"
         (full - ts_before.Admin.ts_tainted_bytes)
         survivors;
       (* restore the persisted tenant: occupancy returns in full *)
       Admin.restore_tenant eng tp0;
-      checki "gauge after restore" full (int_of_float (gauge_bytes eng));
+      checki "gauge after restore" full (shard_bytes eng);
       let ts_after = Option.get (Admin.snapshot_tenant eng ~pid:pid0) in
       checkb "restored tenant equals pre-evict snapshot" true
         (tenant_equal ts_before ts_after);
@@ -690,10 +683,10 @@ let test_restore_then_evict_gauge () =
       | exception Invalid_argument _ -> ());
       (* evicting the restored tenant lands exactly back on the
          survivors' baseline — the restored occupancy was folded into
-         the gauge, not leaked beside it *)
+         the shard total, not leaked beside it *)
       checkb "evicted again" true (Admin.evict_tenant eng ~pid:pid0);
       checki "gauge back at survivors' baseline" survivors
-        (int_of_float (gauge_bytes eng)))
+        (shard_bytes eng))
 
 (* --- restore guard rails --------------------------------------------------- *)
 

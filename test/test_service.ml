@@ -12,7 +12,6 @@ module Store = Pift_core.Store
 module Storage = Pift_core.Storage
 module Tracker = Pift_core.Tracker
 module Provenance = Pift_core.Provenance
-module Registry = Pift_obs.Registry
 module Pool = Pift_par.Pool
 module Droidbench = Pift_workloads.Droidbench
 module Recorded = Pift_eval.Recorded
@@ -454,16 +453,10 @@ let test_merge_edge_cases () =
 
 (* --- tenant lifecycle ----------------------------------------------------- *)
 
-let gauge_bytes eng =
-  Array.fold_left
-    (fun acc reg ->
-      match Registry.find_gauge reg "pift_service_tainted_bytes" with
-      | Some v -> acc +. v
-      | None -> acc)
-    0. (Admin.registries eng)
+let shard_bytes eng = (Admin.stats eng).Admin.st_tainted_bytes
 
 (* Evict one of two tenants mid-stream (in-band I_evict): its store,
-   provenance and window state must be released, the occupancy gauge
+   provenance and window state must be released, the shard occupancy
    must fall back to the surviving tenant's baseline, and a re-ingested
    tenant under the same pid must start clean. *)
 let test_evict_mid_stream () =
@@ -494,10 +487,10 @@ let test_evict_mid_stream () =
       checkb "tenant 1 resident" true
         (Admin.snapshot_tenant eng ~pid:pid1 <> None);
       checki "one eviction" 1 (Admin.stats eng).Admin.st_evictions;
-      (* occupancy gauge = surviving tenant's live bytes, exactly *)
+      (* shard occupancy = surviving tenant's live bytes, exactly *)
       let ts1 = Option.get (Admin.snapshot_tenant eng ~pid:pid1) in
       checki "gauge at survivor baseline" ts1.Admin.ts_tainted_bytes
-        (int_of_float (gauge_bytes eng));
+        (shard_bytes eng);
       (* the pid starts clean: re-ingesting r0 under pid0 must match a
          fresh isolated replay, untainted by the evicted incarnation *)
       Ingest.run eng [ Ingest.of_recorded ~pid:pid0 r0 ];
