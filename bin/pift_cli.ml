@@ -1280,8 +1280,8 @@ let serve_engine eng ~prov ~shards ~snapshot_dir ~snapshot_every sources =
        sources);
   print_engine_stats eng shards
 
-let serve files shards isolated prov ni nt untaint batch queue drop
-    snapshot_dir snapshot_every restore =
+let serve files shards isolated prov ni nt untaint snapshot_dir
+    snapshot_every restore =
   let policy = policy_of ni nt untaint in
   if isolated then
     List.iter
@@ -1321,8 +1321,8 @@ let serve files shards isolated prov ni nt untaint batch queue drop
     let m = snap.Service.Snapshot.manifest in
     let mprov = m.Service.Snapshot.m_with_origins in
     Service.Engine.with_engine ~shards ~policy:m.Service.Snapshot.m_policy
-      ~queue_capacity:queue ~batch ~pid_range:m.Service.Snapshot.m_pid_range
-      ~drop_when_full:drop ~with_origins:mprov (fun eng ->
+      ~pid_range:m.Service.Snapshot.m_pid_range ~with_origins:mprov
+      (fun eng ->
         Service.Snapshot.restore_tenants eng snap;
         let sources =
           List.map
@@ -1345,8 +1345,7 @@ let serve files shards isolated prov ni nt untaint batch queue drop
   end
   else begin
     if files = [] then failwith "serve: no trace files given";
-    Service.Engine.with_engine ~shards ~policy ~queue_capacity:queue ~batch
-      ~drop_when_full:drop ~with_origins:prov (fun eng ->
+    Service.Engine.with_engine ~shards ~policy ~with_origins:prov (fun eng ->
         let sources =
           List.mapi
             (fun i path ->
@@ -1369,8 +1368,9 @@ let serve_cmd =
   let shards =
     let doc =
       "Shard count, and the number of domains the engine runs: the main \
-       domain routes the input and runs shard 0.  Tenants are partitioned \
-       across shards by pid range; per-tenant output is byte-identical at \
+       domain runs shard 0.  Tenants are partitioned across shards by pid \
+       range, and each shard decodes and processes its own tenants' \
+       traces, one after another; per-tenant output is byte-identical at \
        every shard count."
     in
     Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
@@ -1390,21 +1390,6 @@ let serve_cmd =
     in
     Arg.(value & flag & info [ "prov" ] ~doc)
   in
-  let batch =
-    let doc = "Items per queue batch." in
-    Arg.(value & opt int 128 & info [ "batch" ] ~docv:"N" ~doc)
-  in
-  let queue =
-    let doc = "Shard queue capacity, in batches." in
-    Arg.(value & opt int 64 & info [ "queue" ] ~docv:"N" ~doc)
-  in
-  let drop =
-    let doc =
-      "Drop batches instead of blocking the router when a shard queue is \
-       full (lossy; dropped items are reported on stderr)."
-    in
-    Arg.(value & flag & info [ "drop-when-full" ] ~doc)
-  in
   let snapshot_dir =
     let doc =
       "Write a PIFTSNAP1 snapshot of all tenant state (and ingest \
@@ -1418,8 +1403,10 @@ let serve_cmd =
   in
   let snapshot_every =
     let doc =
-      "Snapshot after every $(docv) ingested items (and once at the end).  \
-       Without this, $(b,--snapshot-dir) snapshots only at the end."
+      "Snapshot after every $(docv) items ingested by each shard (and \
+       once at the end): the budget is per shard, and all shards join \
+       before each snapshot.  Without this, $(b,--snapshot-dir) \
+       snapshots only at the end."
     in
     Arg.(
       value & opt (some int) None & info [ "snapshot-every" ] ~docv:"N" ~doc)
@@ -1443,8 +1430,7 @@ let serve_cmd =
           at any $(b,--shards) count.")
     Term.(
       const serve $ files $ shards $ isolated $ prov $ ni $ nt $ untaint
-      $ batch $ queue $ drop $ snapshot_dir $ snapshot_every
-      $ restore)
+      $ snapshot_dir $ snapshot_every $ restore)
 
 let snapshot_inspect path =
   let snap = Service.Snapshot.load path in

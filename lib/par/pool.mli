@@ -54,8 +54,8 @@ val run_job : t -> (worker:int -> unit) -> unit
     workers have drained, so no worker is still inside the job when it
     propagates).  Unlike [map_slots] there is no work-stealing cursor:
     each slot gets exactly one call, which is what cooperating
-    long-lived roles need (e.g. the service engine runs one producer on
-    slot 0 and one shard consumer per remaining slot).  At most one job
+    long-lived roles need (e.g. the service engine runs shard [i] on
+    slot [i]).  At most one job
     is ever in flight per pool; with [jobs = 1] the job runs inline on
     the caller. *)
 

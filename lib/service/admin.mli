@@ -5,9 +5,10 @@
     control-plane code read differently at call sites.
 
     {b Contract:} every function here must be called while the engine
-    is {e idle} — between {!Engine.run}s, from the owning domain.  The
-    pool join at the end of each run fences all shard state, so reads
-    here see everything the run wrote. *)
+    is {e idle} — outside {!Engine.run_shards} (for instance in
+    {!Ingest.run}'s [on_idle]), from the owning domain.  The pool join
+    at the end of each run fences all shard state, so reads here see
+    everything the run wrote. *)
 
 type verdict = Engine.verdict = {
   v_kind : string;

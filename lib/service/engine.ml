@@ -4,6 +4,7 @@ module Policy = Pift_core.Policy
 module Store = Pift_core.Store
 module Tracker = Pift_core.Tracker
 module Provenance = Pift_core.Provenance
+module Recorded = Pift_eval.Recorded
 module Pool = Pift_par.Pool
 
 type item =
@@ -33,24 +34,17 @@ type tenant = {
 type shard = {
   sh_id : int;
   sh_tenants : (int, tenant) Hashtbl.t;
-  mutable sh_queue : item Spsc.t;  (* fresh per run; shard 0's stays empty *)
   (* totals behind stats () *)
   mutable sh_items : int;
   mutable sh_events : int;
-  mutable sh_batches : int;
   mutable sh_evictions : int;
-  mutable sh_dropped : int;
-  mutable sh_max_queue_depth : int;
   mutable sh_bytes : int;  (* live occupancy across this shard's tenants *)
 }
 
 type config = {
   shards : int;
   policy : Policy.t;
-  queue_capacity : int;
-  batch : int;
   pid_range : int;
-  drop_when_full : bool;
   with_origins : bool;
 }
 
@@ -60,10 +54,8 @@ type t = {
   shard_arr : shard array;
   mutable closed : bool;
   (* Fault injection for the crash-recovery tests: shard [fault_shard]
-     raises after processing [fault_after] more items — on slot 0 for
-     shard 0, otherwise in its consumer, exercising the Spsc abort path
-     exactly as a real consumer death would.  Armed while idle; only
-     that shard's step disarms it during a run. *)
+     raises after processing [fault_after] more items, on its own slot.
+     Armed while idle; only that shard's items disarm it during a run. *)
   mutable fault_shard : int;
   mutable fault_after : int;  (* negative = disarmed *)
 }
@@ -72,38 +64,20 @@ let make_shard id =
   {
     sh_id = id;
     sh_tenants = Hashtbl.create 8;
-    sh_queue = Spsc.create ~capacity:1 ();
     sh_items = 0;
     sh_events = 0;
-    sh_batches = 0;
     sh_evictions = 0;
-    sh_dropped = 0;
-    sh_max_queue_depth = 0;
     sh_bytes = 0;
   }
 
-let create ?(shards = 1) ?(policy = Policy.default) ?(queue_capacity = 64)
-    ?(batch = 128) ?(pid_range = 1 lsl 20) ?(drop_when_full = false)
+let create ?(shards = 1) ?(policy = Policy.default) ?(pid_range = 1 lsl 20)
     ?(with_origins = false) () =
   if shards <= 0 then invalid_arg "Engine.create: shards must be positive";
-  if batch <= 0 then invalid_arg "Engine.create: batch must be positive";
   if pid_range <= 0 then invalid_arg "Engine.create: pid_range must be positive";
-  let cfg =
-    {
-      shards;
-      policy;
-      queue_capacity;
-      batch;
-      pid_range;
-      drop_when_full;
-      with_origins;
-    }
-  in
   {
-    cfg;
-    (* One pool slot per shard: slot 0 (the calling domain) routes the
-       stream and runs shard 0, slot [i] consumes shard [i]'s queue;
-       [Pool.run_job] hands each role exactly one call. *)
+    cfg = { shards; policy; pid_range; with_origins };
+    (* One pool slot per shard: slot [i] runs shard [i]'s work in
+       {!run_shards}, slot 0 being the calling domain. *)
     pool = Pool.create ~jobs:shards ();
     shard_arr = Array.init shards make_shard;
     closed = false;
@@ -121,7 +95,9 @@ let with_origins t = t.cfg.with_origins
    stays local while distinct tenants spread round-robin. *)
 let shard_of t pid =
   let s = pid / t.cfg.pid_range mod t.cfg.shards in
-  t.shard_arr.((s + t.cfg.shards) mod t.cfg.shards)
+  (s + t.cfg.shards) mod t.cfg.shards
+
+let shard_for t pid = t.shard_arr.(shard_of t pid)
 
 let tenant_of t sh pid =
   match Hashtbl.find_opt sh.sh_tenants pid with
@@ -178,37 +154,6 @@ let sink_verdict t tn ~pid ~kind ranges =
   in
   { v_kind = kind; v_flagged = flagged; v_origins = origins }
 
-let process_item t sh item =
-  sh.sh_items <- sh.sh_items + 1;
-  match item with
-  | I_event e ->
-      sh.sh_events <- sh.sh_events + 1;
-      let tn = tenant_of t sh e.Event.pid in
-      Tracker.observe tn.tn_tracker e;
-      sync_bytes sh tn
-  | I_source { pid; kind; range } ->
-      let tn = tenant_of t sh pid in
-      Tracker.taint_source ~kind tn.tn_tracker ~pid range;
-      sync_bytes sh tn
-  | I_sink { pid; kind; ranges } ->
-      let tn = tenant_of t sh pid in
-      tn.tn_verdicts_rev <-
-        sink_verdict t tn ~pid ~kind ranges :: tn.tn_verdicts_rev
-  | I_untaint { pid; range } ->
-      let tn = tenant_of t sh pid in
-      Tracker.untaint_range tn.tn_tracker ~pid range;
-      sync_bytes sh tn
-  | I_evict { pid } -> (
-      match Hashtbl.find_opt sh.sh_tenants pid with
-      | None -> ()
-      | Some tn -> evict_local sh tn)
-
-let pid_of_item = function
-  | I_event e -> e.Event.pid
-  | I_source { pid; _ } | I_sink { pid; _ } | I_untaint { pid; _ }
-  | I_evict { pid } ->
-      pid
-
 exception Injected_fault of int
 
 let inject_fault t ~shard ~after_items =
@@ -219,10 +164,10 @@ let inject_fault t ~shard ~after_items =
   t.fault_shard <- shard;
   t.fault_after <- after_items
 
-(* The per-item step every shard runs, inline on slot 0 for shard 0 and
-   off the queue for the others: the armed fault (only the faulting
-   shard reads and disarms it), then the item. *)
-let step t sh item =
+(* The per-item step, shared by {!feed} and {!run}: the armed fault
+   (only the faulting shard reads and disarms it), the item count, then
+   one tenant op below. *)
+let tick t sh =
   if t.fault_after >= 0 && t.fault_shard = sh.sh_id then begin
     if t.fault_after = 0 then begin
       t.fault_after <- -1;
@@ -230,94 +175,102 @@ let step t sh item =
     end;
     t.fault_after <- t.fault_after - 1
   end;
-  process_item t sh item
+  sh.sh_items <- sh.sh_items + 1
 
-(* Slot 0: pull the stream, process shard 0's items inline, and batch
-   the rest into their shards' bounded queues.  The queues close on the
-   way out — also on failure (a stream error or shard 0's own fault), so
-   consumers always see end-of-stream and the pool join cannot deadlock.
-   With one shard every item takes the inline branch and nothing is
-   queued. *)
-let produce t stream =
-  let n = t.cfg.shards in
-  let dummy = I_evict { pid = min_int } in
-  let bufs = Array.init n (fun _ -> Array.make t.cfg.batch dummy) in
-  let fills = Array.make n 0 in
-  let flush i =
-    if fills.(i) > 0 then begin
-      let batch = Array.sub bufs.(i) 0 fills.(i) in
-      fills.(i) <- 0;
-      (* A [Dropped] result is already counted by the queue. *)
-      ignore
-        (Spsc.push t.shard_arr.(i).sh_queue
-           ~drop_when_full:t.cfg.drop_when_full batch)
-    end
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      for i = 1 to n - 1 do
-        flush i;
-        Spsc.close t.shard_arr.(i).sh_queue
-      done)
-    (fun () ->
-      let rec go () =
-        match stream () with
-        | None -> ()
-        | Some item ->
-            let sh = shard_of t (pid_of_item item) in
-            let i = sh.sh_id in
-            if i = 0 then step t sh item
-            else begin
-              bufs.(i).(fills.(i)) <- item;
-              fills.(i) <- fills.(i) + 1;
-              if fills.(i) = t.cfg.batch then flush i
-            end;
-            go ()
-      in
-      go ())
+let on_event sh tn e =
+  sh.sh_events <- sh.sh_events + 1;
+  Tracker.observe tn.tn_tracker e;
+  sync_bytes sh tn
 
-(* Consumer of shard [sh] >= 1 (pool slot [sh]): drain the queue batch
-   by batch until closed.  A consumer failure aborts its queue first,
-   so the router can never block against it, then propagates through
-   the pool join. *)
-let consume t sh =
-  let q = sh.sh_queue in
-  try
-    let rec go () =
-      match Spsc.pop q with
+let on_source sh tn ~kind range =
+  Tracker.taint_source ~kind tn.tn_tracker ~pid:tn.tn_pid range;
+  sync_bytes sh tn
+
+let on_sink t tn ~kind ranges =
+  tn.tn_verdicts_rev <-
+    sink_verdict t tn ~pid:tn.tn_pid ~kind ranges :: tn.tn_verdicts_rev
+
+let on_untaint sh tn range =
+  Tracker.untaint_range tn.tn_tracker ~pid:tn.tn_pid range;
+  sync_bytes sh tn
+
+(* --- shard-owned sources ------------------------------------------------ *)
+
+type lane = {
+  ln_shard : shard;
+  ln_tenant : tenant;
+  ln_delta : int;  (* engine pid - recorded pid *)
+  ln_lo : int;  (* the tenant's pid block, inclusive *)
+  ln_hi : int;
+}
+
+exception Pid_outside_block of int
+
+let lane t ~pid ~orig_pid =
+  let sh = shard_for t pid in
+  let lo = pid - (pid mod t.cfg.pid_range) in
+  {
+    ln_shard = sh;
+    ln_tenant = tenant_of t sh pid;
+    ln_delta = pid - orig_pid;
+    ln_lo = lo;
+    ln_hi = lo + t.cfg.pid_range - 1;
+  }
+
+(* The one place a recorded pid becomes an engine pid.  Forked children
+   keep their offset from the recorded main pid, so they stay distinct
+   inside the tenant's tracker; the event is copied only when the offset
+   is non-zero. *)
+let remap ln (e : Event.t) =
+  let pid = e.Event.pid + ln.ln_delta in
+  if pid < ln.ln_lo || pid > ln.ln_hi then raise (Pid_outside_block pid);
+  if ln.ln_delta = 0 then e else { e with Event.pid }
+
+let feed t ln (item : Recorded.item) =
+  let sh = ln.ln_shard and tn = ln.ln_tenant in
+  tick t sh;
+  match item with
+  | Recorded.Item_event e -> on_event sh tn (remap ln e)
+  | Recorded.Item_marker (_, Recorded.Source { kind; range }) ->
+      on_source sh tn ~kind range
+  | Recorded.Item_marker (_, Recorded.Sink { kind; ranges }) ->
+      on_sink t tn ~kind ranges
+
+let run_shards t f =
+  if t.closed then invalid_arg "Engine.run_shards: engine is shut down";
+  Pool.run_job t.pool (fun ~worker -> f worker)
+
+(* --- in-band items ------------------------------------------------------ *)
+
+let pid_of_item = function
+  | I_event e -> e.Event.pid
+  | I_source { pid; _ } | I_sink { pid; _ } | I_untaint { pid; _ }
+  | I_evict { pid } ->
+      pid
+
+let process_item t item =
+  let sh = shard_for t (pid_of_item item) in
+  tick t sh;
+  match item with
+  | I_event e -> on_event sh (tenant_of t sh e.Event.pid) e
+  | I_source { pid; kind; range } -> on_source sh (tenant_of t sh pid) ~kind range
+  | I_sink { pid; kind; ranges } -> on_sink t (tenant_of t sh pid) ~kind ranges
+  | I_untaint { pid; range } -> on_untaint sh (tenant_of t sh pid) range
+  | I_evict { pid } -> (
+      match Hashtbl.find_opt sh.sh_tenants pid with
       | None -> ()
-      | Some batch ->
-          sh.sh_batches <- sh.sh_batches + 1;
-          Array.iter (step t sh) batch;
-          go ()
-    in
-    go ()
-  with exn ->
-    Spsc.abort q;
-    raise exn
+      | Some tn -> evict_local sh tn)
 
 let run t stream =
   if t.closed then invalid_arg "Engine.run: engine is shut down";
-  (* Fresh queues per run: the previous run closed them.  Shard 0's is
-     never pushed, so its tallies stay zero. *)
-  Array.iter
-    (fun sh -> sh.sh_queue <- Spsc.create ~capacity:t.cfg.queue_capacity ())
-    t.shard_arr;
-  Fun.protect
-    ~finally:(fun () ->
-      (* Fold the run's queue tallies into the shard totals whether the
-         run succeeded or not. *)
-      Array.iter
-        (fun sh ->
-          let q = sh.sh_queue in
-          sh.sh_dropped <- sh.sh_dropped + Spsc.dropped q;
-          let peak = Spsc.max_depth q in
-          if peak > sh.sh_max_queue_depth then sh.sh_max_queue_depth <- peak)
-        t.shard_arr)
-    (fun () ->
-      Pool.run_job t.pool (fun ~worker ->
-          if worker = 0 then produce t stream
-          else consume t t.shard_arr.(worker)))
+  let rec go () =
+    match stream () with
+    | None -> ()
+    | Some item ->
+        process_item t item;
+        go ()
+  in
+  go ()
 
 let shutdown t =
   if not t.closed then begin
@@ -325,27 +278,21 @@ let shutdown t =
     Pool.shutdown t.pool
   end
 
-let with_engine ?shards ?policy ?queue_capacity ?batch ?pid_range
-    ?drop_when_full ?with_origins f =
-  let t =
-    create ?shards ?policy ?queue_capacity ?batch ?pid_range
-      ?drop_when_full ?with_origins ()
-  in
+let with_engine ?shards ?policy ?pid_range ?with_origins f =
+  let t = create ?shards ?policy ?pid_range ?with_origins () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 (* --- admin API (engine idle: between runs, from the owning thread) ---- *)
 
-let find_tenant t pid = Hashtbl.find_opt (shard_of t pid).sh_tenants pid
+let find_tenant t pid = Hashtbl.find_opt (shard_for t pid).sh_tenants pid
 
 let register_tenant t ~pid ?name () =
-  let tn = tenant_of t (shard_of t pid) pid in
+  let tn = tenant_of t (shard_for t pid) pid in
   match name with Some n -> tn.tn_name <- n | None -> ()
 
 let register_source t ~pid ?(kind = "source") range =
-  let sh = shard_of t pid in
-  let tn = tenant_of t sh pid in
-  Tracker.taint_source ~kind tn.tn_tracker ~pid range;
-  sync_bytes sh tn
+  let sh = shard_for t pid in
+  on_source sh (tenant_of t sh pid) ~kind range
 
 let query_sink t ~pid ?(kind = "sink") ranges =
   match find_tenant t pid with
@@ -355,16 +302,13 @@ let query_sink t ~pid ?(kind = "sink") ranges =
 let untaint_range t ~pid range =
   match find_tenant t pid with
   | None -> ()
-  | Some tn ->
-      let sh = shard_of t pid in
-      Tracker.untaint_range tn.tn_tracker ~pid range;
-      sync_bytes sh tn
+  | Some tn -> on_untaint (shard_for t pid) tn range
 
 let evict_tenant t ~pid =
   match find_tenant t pid with
   | None -> false
   | Some tn ->
-      evict_local (shard_of t pid) tn;
+      evict_local (shard_for t pid) tn;
       true
 
 type tenant_snapshot = {
@@ -381,12 +325,11 @@ let snapshot_tenant t ~pid =
   match find_tenant t pid with
   | None -> None
   | Some tn ->
-      let sh = shard_of t pid in
       Some
         {
           ts_pid = pid;
           ts_name = tn.tn_name;
-          ts_shard = sh.sh_id;
+          ts_shard = shard_of t pid;
           ts_verdicts = List.rev tn.tn_verdicts_rev;
           ts_stats = Tracker.stats tn.tn_tracker;
           ts_tainted_bytes = Tracker.current_tainted_bytes tn.tn_tracker;
@@ -429,7 +372,7 @@ let persist_tenants t = List.filter_map (fun pid -> persist_tenant t ~pid) (tena
    total, so a restore immediately followed by an eviction returns the
    total to the survivors' baseline (the restore-then-evict test). *)
 let restore_tenant t tp =
-  let sh = shard_of t tp.tp_pid in
+  let sh = shard_for t tp.tp_pid in
   if Hashtbl.mem sh.sh_tenants tp.tp_pid then
     invalid_arg
       (Printf.sprintf "Engine.restore_tenant: pid %d already resident"
@@ -472,9 +415,9 @@ let stats t =
              ss_shard = sh.sh_id;
              ss_items = sh.sh_items;
              ss_events = sh.sh_events;
-             ss_batches = sh.sh_batches;
-             ss_dropped = sh.sh_dropped;
-             ss_max_queue_depth = sh.sh_max_queue_depth;
+             ss_batches = 0;
+             ss_dropped = 0;
+             ss_max_queue_depth = 0;
              ss_tenants = Hashtbl.length sh.sh_tenants;
              ss_evictions = sh.sh_evictions;
              ss_tainted_bytes = sh.sh_bytes;

@@ -1,33 +1,39 @@
 (** The long-lived multi-tenant taint engine.
 
     One engine owns [shards] shard states and a pool of [shards]
-    workers, shard [i] pinned to slot [i].  Slot 0 is the calling
-    domain: during a {!run} it pulls the stream, routes every item, and
-    processes shard 0's items inline; shards 1..[shards]-1 each drain a
-    bounded queue on their own slot.  A shard holds its resident
-    tenants — one pid, one private {!Pift_core.Tracker} stack (store +
-    optional provenance sidecar) — plus plain per-shard totals read
-    through {!stats}.
+    workers, shard [i] pinned to slot [i] (slot 0 is the calling
+    domain, so [~shards:1] spawns no domain).  A shard holds its
+    resident tenants — one pid, one private {!Pift_core.Tracker} stack
+    (store + optional provenance sidecar) — plus plain per-shard totals
+    read through {!stats}.
 
     {b Sharding.}  Pids are partitioned by contiguous range:
     [shard_of pid = (pid / pid_range) mod shards].  Routing is pure
     arithmetic, so a pid's shard never changes and no cross-shard
     state exists.
 
-    {b Determinism.}  Because every tenant owns a private tracker and
-    items of one pid are routed to one shard and processed there in
-    stream order (inline on shard 0, through a FIFO queue elsewhere),
-    the per-tenant verdicts, origin sets, and stats after
-    an interleaved run are byte-identical to replaying each tenant's
-    stream in isolation — at any shard count.  The differential harness
-    ([test_service], the CI serve leg) enforces this.
+    {b Two ways in.}  {!run_shards} is the production path: it calls
+    one function per shard on that shard's own slot, and {!Ingest.run}
+    uses it to let every shard decode and {!feed} its own tenants'
+    sources.  {!run} drains one in-band {!stream} of {!item}s on the
+    calling domain.  Both go through the same per-item step (armed
+    fault, counters, tenant op).
 
-    {b Concurrency contract.}  {!run} is the only concurrent region:
-    slot 0 routes and runs shard 0, slots 1..shards-1 consume their
-    queues, and the pool join fences
-    all shard state before returning.  Every other function (the admin
-    API, {!stats}, {!snapshot_tenant}) must be called while the engine
-    is idle — between runs, from the owning domain. *)
+    {b Determinism.}  Every tenant owns a private tracker, and each
+    tenant's items are processed in its own stream order by the one
+    slot that owns its shard.  A tenant's verdicts, origin sets and
+    stats therefore depend on its own stream alone: after any run they
+    are byte-identical to replaying that stream in isolation, at any
+    shard count.  The differential harness ([test_service], the CI
+    serve leg) enforces this.
+
+    {b Concurrency contract.}  {!run_shards} is the only concurrent
+    region: slot [i] may touch shard [i]'s tenants only, and the pool
+    join fences all shard state before it returns.  Every other
+    function (the admin API, {!stats}, {!snapshot_tenant}, {!run})
+    must be called while the engine is idle — outside {!run_shards},
+    from the owning domain.  There are no queues: nothing is batched
+    or dropped, and the three queue fields of {!stats} are always 0. *)
 
 type t
 
@@ -46,49 +52,64 @@ type stream = unit -> item option
 val create :
   ?shards:int ->
   ?policy:Pift_core.Policy.t ->
-  ?queue_capacity:int ->
-  ?batch:int ->
   ?pid_range:int ->
-  ?drop_when_full:bool ->
   ?with_origins:bool ->
   unit ->
   t
 (** [shards] (default 1) sets the shard count and builds a pool of
     [shards] workers: the calling domain is slot 0 and runs shard 0,
     so [~shards:1] spawns no domain.  [policy] configures every tenant
-    tracker, each on its own production [Flat] store.
-    [queue_capacity] (default 64) bounds each queued shard's queue in
-    {e batches} of [batch] (default 128) items.  [pid_range] (default
-    [2{^20}]) is the width of the contiguous pid blocks mapped to one
-    shard.  [drop_when_full:true] switches backpressure from blocking
-    the router to dropping batches (counted per shard, surfaced in
-    {!stats}).  [queue_capacity], [batch] and
-    [drop_when_full] apply only to shards 1 and up: shard 0 has no
-    queue, reports 0 batches and never drops.  [with_origins] threads a
-    provenance sidecar through every tenant so sink verdicts carry
-    origin sets. *)
+    tracker, each on its own production [Flat] store.  [pid_range]
+    (default [2{^20}]) is the width of the contiguous pid blocks mapped
+    to one shard.  [with_origins] threads a provenance sidecar through
+    every tenant so sink verdicts carry origin sets. *)
+
+val shard_of : t -> int -> int
+(** The shard that owns [pid]: [(pid / pid_range) mod shards]. *)
+
+val run_shards : t -> (int -> unit) -> unit
+(** [run_shards t f] calls [f i] on pool slot [i] for every shard [i]
+    at once ([f 0] on the calling domain), joins the pool, and then
+    re-raises the first failure.  [f i] may touch shard [i]'s tenants
+    only, through {!lane} and {!feed}.  A failing shard does not stop
+    the others: they finish their [f] first.  Refuses after
+    {!shutdown}. *)
+
+type lane
+(** One tenant resolved for {!feed}: its shard, its tracker, and the
+    offset from the pids its recording uses to its engine pid. *)
+
+val lane : t -> pid:int -> orig_pid:int -> lane
+(** Resolve (creating on first touch) the tenant of engine pid [pid],
+    whose recording calls its main process [orig_pid].  Call it on
+    [pid]'s own slot inside {!run_shards}, or while idle, once per
+    source and run — not per item. *)
+
+exception Pid_outside_block of int
+(** Carries the remapped pid. *)
+
+val feed : t -> lane -> Pift_eval.Recorded.item -> unit
+(** Process one recorded item for the lane's tenant: the armed fault,
+    the counters, then the tenant op.  An event's pid [p] becomes
+    [p - orig_pid + pid], so forked children stay distinct inside the
+    tenant; the event is copied only when that offset is non-zero.
+    Raises {!Pid_outside_block} if the remapped pid leaves the tenant's
+    [pid_range] block.  Markers apply to the tenant's own pid. *)
 
 val run : t -> stream -> unit
-(** Drain [stream] to completion on the calling domain: route every
-    item to its pid's shard, process shard 0's items right there, and
-    push the other shards' items in batches through their bounded
-    queues to their consumers.  Fresh queues per run; on any failure
-    (the stream, shard 0's step, or a consumer) the queues are
-    closed/aborted so no domain wedges, and the first exception
-    re-raises here after all workers drain.  Tenants are created on
-    first touch and survive across runs until evicted. *)
+(** Drain [stream] to completion on the calling domain, each item
+    going to the tenant of its own pid through the same per-item step
+    as {!feed}.  Engine-idle only.  Tenants are created on first touch
+    and survive across runs until evicted. *)
 
 val shutdown : t -> unit
-(** Join the pool domains.  Idempotent; {!run} refuses afterwards
-    (admin reads still work). *)
+(** Join the pool domains.  Idempotent; {!run} and {!run_shards} refuse
+    afterwards (admin reads still work). *)
 
 val with_engine :
   ?shards:int ->
   ?policy:Pift_core.Policy.t ->
-  ?queue_capacity:int ->
-  ?batch:int ->
   ?pid_range:int ->
-  ?drop_when_full:bool ->
   ?with_origins:bool ->
   (t -> 'a) ->
   'a
@@ -181,22 +202,20 @@ exception Injected_fault of int
 (** Carries the faulting shard id. *)
 
 val inject_fault : t -> shard:int -> after_items:int -> unit
-(** Arm (engine-idle) a one-shot fault: during the next {!run},
-    [shard] raises {!Injected_fault} after processing [after_items]
-    more items.  This drives the production failure paths: shard 0's
-    fault unwinds the router, which closes every queue; a queued
-    shard's consumer aborts its queue so the router cannot block
-    against it.  Either way {!run} re-raises the fault after the pool
-    drains.  The engine survives: admin calls and further runs still
-    work, exactly like any consumer death. *)
+(** Arm (engine-idle) a one-shot fault: [shard] raises
+    {!Injected_fault} on its own slot after processing [after_items]
+    more items.  This drives the production failure path: the other
+    shards finish, and {!run_shards} (or {!run}) re-raises the fault
+    after the pool joins.  The engine survives: admin calls and further
+    runs still work, exactly like any shard death. *)
 
 type shard_stats = {
   ss_shard : int;
   ss_items : int;
   ss_events : int;
-  ss_batches : int;  (** queue batches consumed; always 0 on shard 0 *)
-  ss_dropped : int;  (** items lost to the dropping policy, all runs *)
-  ss_max_queue_depth : int;  (** peak queued batches, all runs *)
+  ss_batches : int;  (** always 0: there are no queues *)
+  ss_dropped : int;  (** always 0 *)
+  ss_max_queue_depth : int;  (** always 0 *)
   ss_tenants : int;
   ss_evictions : int;
   ss_tainted_bytes : int;  (** live occupancy across resident tenants *)
@@ -206,8 +225,8 @@ type stats = {
   st_shards : shard_stats list;  (** by shard id *)
   st_items : int;
   st_events : int;
-  st_batches : int;
-  st_dropped : int;
+  st_batches : int;  (** always 0 *)
+  st_dropped : int;  (** always 0 *)
   st_evictions : int;
   st_tenants : int;
   st_tainted_bytes : int;

@@ -9,10 +9,9 @@ type source = {
   src_orig_pid : int;  (* pid recorded in the trace *)
   src_next : unit -> Recorded.item option;
   src_close : unit -> unit;
-  (* Ingest cursor: items handed to the engine (or skipped on resume).
-     Counted at merge-emission time, not at head prefetch — [merge]
-     holds one prefetched head per source, and a snapshot must record
-     only what the engine actually consumed. *)
+  (* Ingest cursor: items the engine processed (or skipped on resume).
+     [run] reads nothing ahead, so a snapshot records exactly the
+     processed prefix. *)
   mutable src_emitted : int;
 }
 
@@ -166,6 +165,55 @@ let merge sources : Engine.stream =
       Some (to_engine_item srcs.(i) heads.(i))
     end
 
+(* Feed source [s] to its tenant until it ends or [left] items are
+   spent; returns the unspent budget, so a positive result means the
+   source ended.  The cursor is counted in a local and stored once, also
+   on failure: sources of different shards sit side by side in memory,
+   and a per-item store would bounce their cache line between domains.
+   The failing item of a pid-block error is the one after those fed. *)
+let pump engine s left =
+  let ln = Engine.lane engine ~pid:s.src_pid ~orig_pid:s.src_orig_pid in
+  let fed = ref 0 in
+  let rec go left =
+    if left = 0 then 0
+    else
+      match s.src_next () with
+      | None -> left
+      | Some item ->
+          Engine.feed engine ln item;
+          incr fed;
+          go (left - 1)
+  in
+  Fun.protect
+    ~finally:(fun () -> s.src_emitted <- s.src_emitted + !fed)
+    (fun () ->
+      try go left
+      with Engine.Pid_outside_block pid ->
+        failwith
+          (Printf.sprintf
+             "Ingest: source %s item %d: pid %d is outside the tenant's \
+              pid block"
+             s.src_name
+             (s.src_emitted + !fed + 1)
+             pid))
+
+(* One shard's share of a segment, on the shard's own slot: its pending
+   sources one after another, at most [budget] (> 0) items in all.
+   Returns [true] once every source has ended with budget to spare. *)
+let drain engine pending i budget =
+  let rec go left =
+    match pending.(i) with
+    | [] -> true
+    | s :: rest ->
+        let left = pump engine s left in
+        if left = 0 then false
+        else begin
+          pending.(i) <- rest;
+          go left
+        end
+  in
+  go budget
+
 let run ?segment ?on_idle engine sources =
   let idle () = match on_idle with Some f -> f () | None -> () in
   Fun.protect
@@ -175,32 +223,29 @@ let run ?segment ?on_idle engine sources =
         (fun s ->
           Engine.register_tenant engine ~pid:s.src_pid ~name:s.src_name ())
         sources;
-      let stream = merge sources in
-      match segment with
-      | None ->
-          Engine.run engine stream;
-          idle ()
-      | Some n ->
-          if n <= 0 then invalid_arg "Ingest.run: segment must be positive";
-          (* Wrap the persistent merged stream in per-segment budgets:
-             each [Engine.run] drains at most [n] items and joins the
-             pool, so [on_idle] always observes a fully quiescent
-             engine — the only state a snapshot may capture. *)
-          let exhausted = ref false in
-          let budget = ref 0 in
-          let bounded () =
-            if !budget = 0 then None
-            else
-              match stream () with
-              | None ->
-                  exhausted := true;
-                  None
-              | Some item ->
-                  decr budget;
-                  Some item
-          in
-          while not !exhausted do
-            budget := n;
-            Engine.run engine bounded;
-            idle ()
-          done)
+      let budget =
+        match segment with
+        | None -> max_int
+        | Some n ->
+            if n <= 0 then invalid_arg "Ingest.run: segment must be positive";
+            n
+      in
+      (* Each shard owns the sources of its tenants, in list order. *)
+      let shards = Engine.shards engine in
+      let pending = Array.make shards [] in
+      List.iter
+        (fun s ->
+          let i = Engine.shard_of engine s.src_pid in
+          pending.(i) <- s :: pending.(i))
+        (List.rev sources);
+      (* Every segment joins all shards before [on_idle], so the hook
+         always sees a quiescent engine — the only state a snapshot may
+         capture. *)
+      let ended = Array.make shards false in
+      let rec segments () =
+        Engine.run_shards engine (fun i ->
+            ended.(i) <- drain engine pending i budget);
+        idle ();
+        if not (Array.for_all Fun.id ended) then segments ()
+      in
+      segments ())

@@ -1,5 +1,5 @@
-(** Ingest front: turn recordings and trace files into tenant sources,
-    interleave them deterministically, and feed the engine.
+(** Ingest front: turn recordings and trace files into tenant sources
+    and feed them to the engine, each on the shard that owns it.
 
     A {!source} binds one trace stream to one engine pid.  Pids come
     from {!tenant_pid}, which places tenant [i] at the start of its own
@@ -33,10 +33,13 @@ val of_file : pid:int -> string -> source
 val close : source -> unit
 
 val to_engine_item : source -> Pift_eval.Recorded.item -> Engine.item
-(** Remap one recorded item onto the source's engine pid. *)
+(** Remap one recorded item onto the source's engine pid, as an in-band
+    {!Engine.item}.  {!run} does not use it. *)
 
 val merge : source list -> Engine.stream
-(** Deterministic interleave: always emit the head with the smallest
+(** Kept for the benchmark harness's engine leg and the in-band tests;
+    no production path calls it ({!run} needs no global order).
+    Deterministic interleave: always emit the head with the smallest
     [(seq, source index)] — ties on seq go to the earlier-listed
     source.  Per-source item order is preserved, so each tenant sees
     exactly its own stream in order; the cross-tenant schedule is fixed
@@ -50,10 +53,10 @@ val merge : source list -> Engine.stream
     made it and leaves the merge as it was. *)
 
 val cursor : source -> int
-(** Ingest cursor: items emitted to the engine so far (plus any
-    {!skip}ped on resume).  Counted at merge-emission time — the one
-    prefetched head {!merge} may hold is {e not} included, so after an
-    idle {!Engine.run} the cursor names exactly the processed prefix.
+(** Ingest cursor: items processed so far (plus any {!skip}ped on
+    resume).  {!run} reads nothing ahead, so whenever the engine is
+    idle the cursor names exactly the processed prefix.  ({!merge}
+    counts at emission and holds one read-ahead head per source.)
     Recorded per source in every snapshot. *)
 
 val skip : source -> int -> unit
@@ -64,14 +67,21 @@ val skip : source -> int -> unit
 
 val run :
   ?segment:int -> ?on_idle:(unit -> unit) -> Engine.t -> source list -> unit
-(** Register each source's tenant (named after the trace), then
-    {!Engine.run} the merged stream.  Sources are closed on the way
-    out, also on failure.
+(** Register each source's tenant (named after the trace), then let
+    every shard process its own sources: the sources whose pid
+    {!Engine.shard_of} maps to shard [i] keep their list order, and
+    slot [i] decodes and feeds them one after another on its own domain
+    (see {!Engine.run_shards} and {!Engine.feed}).  There is no global
+    merge and no queue.  Sources are closed on the way out, also on
+    failure.  An event whose remapped pid leaves its tenant's pid block
+    fails the run with an error naming the source and the item number.
 
-    With [segment:n], the stream is drained in budgets of [n] items:
-    after each segment the engine is fully idle (pool joined, queues
-    drained) and [on_idle] is called — the snapshot hook.  [on_idle]
-    also runs once after the final (possibly short) segment, so a
+    With [segment:n], each shard processes at most [n] items per
+    segment; then all shards join, the engine is fully idle, and
+    [on_idle] is called — the snapshot hook.  Segments repeat until
+    every shard's sources have ended with budget to spare, and [on_idle]
+    also runs after that final (possibly short or empty) segment, so a
     snapshot of the completed state always exists; without [segment]
-    it runs once at end of stream.  Cursors observed inside [on_idle]
-    name exactly the processed prefix of every source. *)
+    it runs once at end of stream.  At one shard this gives the same
+    segments as one global budget of [n].  Cursors observed inside
+    [on_idle] name exactly the processed prefix of every source. *)

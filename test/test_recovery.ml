@@ -16,7 +16,7 @@
      (its manifest names the [functional] store) restores and resumes
      to the same tenant state as a clean run;
    - fault-injection crash/recovery differentials: kill a shard
-     consumer mid-ingest through the production Spsc abort path,
+     mid-ingest through the production failure path,
      restore the last snapshot into a fresh engine (same or different
      shard count), resume from the recorded cursors, and require the
      final tenant state to equal an uninterrupted run's;
@@ -533,8 +533,8 @@ let clean_run ~shards =
           Option.get (Admin.snapshot_tenant eng ~pid:s.Ingest.src_pid))
         sources)
 
-(* Kill shard [fault_shard]'s consumer [after_items] items after the
-   [crash_at]-th snapshot, through the production abort path; then
+(* Kill shard [fault_shard] [after_items] items after the [crash_at]-th
+   snapshot, through the production failure path; then
    restore the last snapshot into a fresh engine with [resume_shards]
    shards, skip every source to its recorded cursor, resume, and
    compare against the uninterrupted run. *)
@@ -622,19 +622,23 @@ let test_crash_recovery_reshard () =
   crash_recovery_differential ~shards:2 ~resume_shards:1 ~crash_at:4
     ~fault_shard:1 ~after_items:29 ()
 
-(* The engine survives an injected fault: the abort path must leave it
-   usable for admin reads and further runs (that is what the restore
-   tooling leans on).  Shard 0 runs inline on the routing domain, so
-   its fault unwinds the router itself; a queued shard's fault aborts
-   its queue while the router keeps going.  Both must surface the armed
-   shard's fault and neither may hang. *)
+(* The engine survives an injected fault: the failure path must leave
+   it usable for admin reads and further runs (that is what the restore
+   tooling leans on).  Every shard runs its own sources on its own slot,
+   so a fault on shard 1 lets shard 0 finish its segment first; either
+   way the armed shard's fault must surface, unsegmented or at a segment
+   boundary, and nothing may hang. *)
 let test_engine_survives_fault () =
   List.iter
-    (fun (shards, shard) ->
-      let label what = Printf.sprintf "shards=%d fault=%d: %s" shards shard what in
+    (fun (shards, shard, segment) ->
+      let label what =
+        Printf.sprintf "shards=%d fault=%d segment=%s: %s" shards shard
+          (match segment with None -> "none" | Some n -> string_of_int n)
+          what
+      in
       run_engine ~shards (fun eng sources ->
           Engine.inject_fault eng ~shard ~after_items:40;
-          (match Ingest.run eng sources with
+          (match Ingest.run ?segment eng sources with
           | () -> Alcotest.fail (label "expected injected fault")
           | exception Engine.Injected_fault sh ->
               checki (label "fault from armed shard") shard sh);
@@ -653,7 +657,7 @@ let test_engine_survives_fault () =
               checkb (label "post-fault ingest works") true
                 (Admin.snapshot_tenant eng ~pid <> None))
             pids))
-    [ (1, 0); (2, 0); (2, 1) ]
+    [ (1, 0, None); (2, 0, None); (2, 1, None); (2, 1, Some 25) ]
 
 (* --- restore / evict occupancy -------------------------------------------- *)
 

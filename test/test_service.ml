@@ -1,9 +1,10 @@
-(* Tests for Pift_service: the Spsc queue contract, the engine's
-   determinism claim (interleaved multi-tenant ingestion at every shard
-   count is byte-identical to isolated replays — verdicts, origin sets,
-   and stats), tenant eviction releasing all state, the backpressure
-   policies, streaming trace readers, the per-pid provenance index, and
-   Pool.run_job.  PIFT_TEST_JOBS is not used here: shard counts are the
+(* Tests for Pift_service: the engine's determinism claim (multi-tenant
+   ingestion at every shard count is byte-identical to isolated replays
+   — verdicts, origin sets, and stats), shard-owned ingest (cursors and
+   per-shard segment budgets at every idle point, the pid-block guard,
+   per-item allocation), tenant eviction releasing all state, streaming
+   trace readers, the per-pid provenance index, the merge kept for the
+   benchmark harness, and Pool.run_job.  PIFT_TEST_JOBS is not used here: shard counts are the
    parameter under test and are fixed per case. *)
 
 module Range = Pift_util.Range
@@ -18,7 +19,6 @@ module Recorded = Pift_eval.Recorded
 module Trace_io = Pift_eval.Trace_io
 module Event = Pift_trace.Event
 module Insn = Pift_arm.Insn
-module Spsc = Pift_service.Spsc
 module Engine = Pift_service.Engine
 module Ingest = Pift_service.Ingest
 module Admin = Pift_service.Admin
@@ -38,60 +38,6 @@ let recordings =
     (List.map
        (fun n -> Recorded.record (app n))
        [ "StringConcat1"; "DirectLeak1"; "LogLeak1"; "Obfuscation1" ])
-
-(* --- Spsc ---------------------------------------------------------------- *)
-
-let test_spsc_fifo () =
-  let q = Spsc.create ~capacity:4 () in
-  for i = 0 to 3 do
-    match Spsc.push q ~drop_when_full:false [| i; i + 10 |] with
-    | Spsc.Pushed -> ()
-    | Spsc.Dropped -> Alcotest.fail "push dropped below capacity"
-  done;
-  checki "depth" 4 (Spsc.length q);
-  checki "max depth" 4 (Spsc.max_depth q);
-  Spsc.close q;
-  let drained = ref [] in
-  let rec drain () =
-    match Spsc.pop q with
-    | Some b ->
-        drained := !drained @ Array.to_list b;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  checkb "fifo order" true
-    (!drained = [ 0; 10; 1; 11; 2; 12; 3; 13 ]);
-  checkb "pop after drain stays None" true (Spsc.pop q = None)
-
-let test_spsc_drop_when_full () =
-  let q = Spsc.create ~capacity:1 () in
-  checkb "first push fits" true
-    (Spsc.push q ~drop_when_full:true [| 1 |] = Spsc.Pushed);
-  checkb "second push drops" true
-    (Spsc.push q ~drop_when_full:true [| 2; 3 |] = Spsc.Dropped);
-  checki "dropped counts items" 2 (Spsc.dropped q);
-  (* the queued batch is still intact *)
-  checkb "survivor delivered" true (Spsc.pop q = Some [| 1 |])
-
-let test_spsc_abort () =
-  let q = Spsc.create ~capacity:1 () in
-  ignore (Spsc.push q ~drop_when_full:false [| 1 |]);
-  Spsc.abort q;
-  (* a blocked producer would have been woken; pushes now drop *)
-  checkb "push after abort drops" true
-    (Spsc.push q ~drop_when_full:false [| 2 |] = Spsc.Dropped);
-  checkb "pop after abort is None" true (Spsc.pop q = None);
-  checki "aborted pushes counted" 1 (Spsc.dropped q)
-
-let test_spsc_close_rejects_push () =
-  let q = Spsc.create ~capacity:1 () in
-  Spsc.close q;
-  checkb "push after close raises" true
-    (try
-       ignore (Spsc.push q ~drop_when_full:false [| 1 |]);
-       false
-     with Invalid_argument _ -> true)
 
 (* --- Pool.run_job --------------------------------------------------------- *)
 
@@ -163,8 +109,7 @@ let run_differential ~shards ~with_origins =
   let isolated =
     List.map (fun r -> Recorded.replay ~policy ~with_origins r) recs
   in
-  Engine.with_engine ~shards ~policy ~with_origins ~queue_capacity:2 ~batch:16
-    (fun eng ->
+  Engine.with_engine ~shards ~policy ~with_origins (fun eng ->
       let sources =
         List.mapi (fun i r -> Ingest.of_recorded ~pid:(Ingest.tenant_pid i) r) recs
       in
@@ -202,56 +147,11 @@ let test_differential_shards_4 () = run_differential ~shards:4 ~with_origins:tru
 let test_differential_no_origins () =
   run_differential ~shards:2 ~with_origins:false
 
-(* Tiny queues + blocking backpressure: nothing may be lost and the
-   interleaved result still matches — the producer just waits. *)
-let test_blocking_backpressure_lossless () =
-  let recs = Lazy.force recordings in
-  let policy = Policy.default in
-  Engine.with_engine ~shards:2 ~policy ~queue_capacity:1 ~batch:4 (fun eng ->
-      let sources =
-        List.mapi (fun i r -> Ingest.of_recorded ~pid:(Ingest.tenant_pid i) r) recs
-      in
-      Ingest.run eng sources;
-      let st = Admin.stats eng in
-      checki "no drops under blocking policy" 0 st.Admin.st_dropped;
-      let total_items =
-        List.fold_left
-          (fun acc (r : Recorded.t) ->
-            acc + Pift_trace.Trace.length r.Recorded.trace
-            + Array.length r.Recorded.markers)
-          0 recs
-      in
-      checki "every item processed" total_items st.Admin.st_items)
-
-(* Dropping policy: items are either processed or counted dropped —
-   the split is timing-dependent, the sum is not.  The run must
-   terminate (a wedged producer would hang the test). *)
-let test_drop_policy_accounting () =
-  let recs = Lazy.force recordings in
-  Engine.with_engine ~shards:2 ~policy:Policy.default ~queue_capacity:1
-    ~batch:2 ~drop_when_full:true (fun eng ->
-      let sources =
-        List.mapi (fun i r -> Ingest.of_recorded ~pid:(Ingest.tenant_pid i) r) recs
-      in
-      Ingest.run eng sources;
-      let st = Admin.stats eng in
-      let total_items =
-        List.fold_left
-          (fun acc (r : Recorded.t) ->
-            acc + Pift_trace.Trace.length r.Recorded.trace
-            + Array.length r.Recorded.markers)
-          0 recs
-      in
-      checki "processed + dropped = streamed" total_items
-        (st.Admin.st_items + st.Admin.st_dropped))
-
-(* Shard 0 runs inline on the routing domain and has no queue, so a
-   one-shard engine cannot drop, batch or queue anything even with the
-   dropping policy and one-item batches. *)
+(* There are no queues: the batch, drop and queue-depth stats stay 0
+   and every streamed item is processed. *)
 let test_inline_shard_never_drops () =
   let recs = Lazy.force recordings in
-  Engine.with_engine ~shards:1 ~policy:Policy.default ~queue_capacity:1
-    ~batch:1 ~drop_when_full:true (fun eng ->
+  Engine.with_engine ~shards:1 ~policy:Policy.default (fun eng ->
       let sources =
         List.mapi (fun i r -> Ingest.of_recorded ~pid:(Ingest.tenant_pid i) r) recs
       in
@@ -717,17 +617,265 @@ let test_binary_decode_allocation () =
                !n per_item)
             true (per_item <= 20.)))
 
+(* --- shard-owned ingest ----------------------------------------------------- *)
+
+(* A copy of [r] in which every third event runs in a forked child
+   (recorded pid + 1): the child must stay a distinct process inside its
+   tenant, exactly as in the isolated replay. *)
+let forked (r : Recorded.t) =
+  let trace = Pift_trace.Trace.create () in
+  Pift_trace.Trace.iter
+    (fun (e : Event.t) ->
+      Pift_trace.Trace.add trace
+        (if e.Event.k mod 3 = 0 then { e with Event.pid = r.Recorded.pid + 1 }
+         else e))
+    r.Recorded.trace;
+  { r with Recorded.name = r.Recorded.name ^ "-forked"; trace }
+
+let empty_recording =
+  {
+    Recorded.name = "Empty";
+    trace = Pift_trace.Trace.create ();
+    markers = [||];
+    pid = 4242;
+    bytecodes = 0;
+  }
+
+(* The recordings a generated run draws from, each saved once in both
+   trace formats. *)
+let ingest_fixtures =
+  lazy
+    (let recs =
+       Lazy.force recordings
+       @ [ empty_recording; forked (List.hd (Lazy.force recordings)) ]
+     in
+     List.map
+       (fun r ->
+         let save format =
+           let path = Filename.temp_file "pift_service_ingest" ".pift" in
+           at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+           Trace_io.save ~format r path;
+           path
+         in
+         (r, save Trace_io.Binary, save Trace_io.Text))
+       recs)
+
+type ingest_case = {
+  ic_shards : int;
+  ic_segment : int option;
+  ic_sources : (int * int) list;  (* (fixture, 0 memory | 1 binary | 2 text) *)
+}
+
+let gen_ingest_case rng =
+  let module Rng = Pift_util.Rng in
+  let nfix = List.length (Lazy.force ingest_fixtures) in
+  {
+    ic_shards = List.nth [ 1; 2; 4 ] (Rng.int rng 3);
+    ic_segment =
+      (if Rng.int rng 2 = 0 then None else Some (Rng.int_in rng 1 400));
+    ic_sources =
+      List.init (Rng.int_in rng 1 7) (fun _ ->
+          (Rng.int rng nfix, Rng.int rng 3));
+  }
+
+let ingest_case_to_string c =
+  Printf.sprintf "shards=%d segment=%s sources=[%s]" c.ic_shards
+    (match c.ic_segment with None -> "none" | Some n -> string_of_int n)
+    (String.concat "; "
+       (List.map
+          (fun (f, how) ->
+            Printf.sprintf "%d/%s" f
+              (match how with 0 -> "memory" | 1 -> "binary" | _ -> "text"))
+          c.ic_sources))
+
+(* Events and sink checks among the first [n] items of [r]. *)
+let prefix_counts r n =
+  let next = Recorded.items r in
+  let rec go k events sinks =
+    if k = n then (events, sinks)
+    else
+      match next () with
+      | None -> (events, sinks)
+      | Some (Recorded.Item_event _) -> go (k + 1) (events + 1) sinks
+      | Some (Recorded.Item_marker (_, Recorded.Sink _)) ->
+          go (k + 1) events (sinks + 1)
+      | Some (Recorded.Item_marker (_, Recorded.Source _)) ->
+          go (k + 1) events sinks
+  in
+  go 0 0 0
+
+(* One generated run: every tenant must end equal to its isolated
+   replay, and at every idle point each cursor must name exactly what
+   its tenant has processed while no shard overran its segment budget. *)
+let ingest_agrees c =
+  let fixtures = Array.of_list (Lazy.force ingest_fixtures) in
+  let picked =
+    List.mapi
+      (fun i (f, how) ->
+        let r, bin, text = fixtures.(f) in
+        let pid = Ingest.tenant_pid i in
+        let src =
+          match how with
+          | 0 -> Ingest.of_recorded ~pid r
+          | 1 -> Ingest.of_file ~pid bin
+          | _ -> Ingest.of_file ~pid text
+        in
+        (r, src))
+      c.ic_sources
+  in
+  let sources = List.map snd picked in
+  let fail = ref None in
+  let check what ok = if (not ok) && !fail = None then fail := Some what in
+  Engine.with_engine ~shards:c.ic_shards ~with_origins:true (fun eng ->
+      let last_items = Array.make c.ic_shards 0 in
+      let on_idle () =
+        let st = Admin.stats eng in
+        List.iter
+          (fun (ss : Admin.shard_stats) ->
+            let i = ss.Admin.ss_shard in
+            (match c.ic_segment with
+            | Some n ->
+                check
+                  (Printf.sprintf "shard %d overran its budget" i)
+                  (ss.Admin.ss_items - last_items.(i) <= n)
+            | None -> ());
+            last_items.(i) <- ss.Admin.ss_items)
+          st.Admin.st_shards;
+        List.iter
+          (fun (r, s) ->
+            let ts =
+              Option.get (Admin.snapshot_tenant eng ~pid:s.Ingest.src_pid)
+            in
+            let events, sinks = prefix_counts r (Ingest.cursor s) in
+            check
+              (Printf.sprintf "cursor of %s at idle" s.Ingest.src_name)
+              (ts.Admin.ts_stats.Tracker.events = events
+              && List.length ts.Admin.ts_verdicts = sinks))
+          picked;
+        check "items = sum of cursors"
+          (st.Admin.st_items
+          = List.fold_left (fun a s -> a + Ingest.cursor s) 0 sources)
+      in
+      Ingest.run ?segment:c.ic_segment ~on_idle eng sources;
+      List.iter
+        (fun (r, s) ->
+          let rp = Recorded.replay ~policy:Policy.default ~with_origins:true r in
+          let ts =
+            Option.get (Admin.snapshot_tenant eng ~pid:s.Ingest.src_pid)
+          in
+          check
+            (Printf.sprintf "%s differs from its isolated replay"
+               s.Ingest.src_name)
+            (engine_verdicts ts ~with_origins:true
+             = norm_verdicts rp ~with_origins:true
+            && stats_equal ts.Admin.ts_stats rp.Recorded.stats))
+        picked;
+      let st = Admin.stats eng in
+      check "no batches, drops or queue depth"
+        (st.Admin.st_batches = 0 && st.Admin.st_dropped = 0
+        && List.for_all
+             (fun (ss : Admin.shard_stats) -> ss.Admin.ss_max_queue_depth = 0)
+             st.Admin.st_shards));
+  match !fail with None -> Ok () | Some m -> Error m
+
+let test_ingest_equals_isolated () =
+  Prop.check_gen ~name:"shard-owned ingest = isolated replay" ~count:40
+    ~gen:gen_ingest_case
+    ~shrink:(fun _ -> [])
+    ~to_string:ingest_case_to_string ingest_agrees
+
+(* An event whose remapped pid leaves its tenant's block fails the run
+   with one error naming the source and the item, on whichever shard
+   owns the source. *)
+let test_pid_outside_block () =
+  let r = List.hd (Lazy.force recordings) in
+  let bad = 5 in
+  let trace = Pift_trace.Trace.create () in
+  let k = ref 0 in
+  Pift_trace.Trace.iter
+    (fun (e : Event.t) ->
+      incr k;
+      Pift_trace.Trace.add trace
+        (if !k = bad then { e with Event.pid = r.Recorded.pid + (1 lsl 20) }
+         else e))
+    r.Recorded.trace;
+  let stray = { r with Recorded.name = "Stray"; trace } in
+  let item =
+    (* the 1-based item number of the bad event: markers may precede it *)
+    let next = Recorded.items stray in
+    let rec go n events =
+      match next () with
+      | Some (Recorded.Item_event _) when events + 1 = bad -> n
+      | Some (Recorded.Item_event _) -> go (n + 1) (events + 1)
+      | Some _ -> go (n + 1) events
+      | None -> Alcotest.fail "short recording"
+    in
+    go 1 0
+  in
+  List.iter
+    (fun shards ->
+      Engine.with_engine ~shards (fun eng ->
+          let sources =
+            [
+              Ingest.of_recorded ~pid:(Ingest.tenant_pid 0) r;
+              Ingest.of_recorded ~pid:(Ingest.tenant_pid 1) stray;
+            ]
+          in
+          match Ingest.run eng sources with
+          | () -> Alcotest.failf "shards=%d: stray pid accepted" shards
+          | exception Failure m ->
+              checks
+                (Printf.sprintf "shards=%d message" shards)
+                (Printf.sprintf
+                   "Ingest: source Stray item %d: pid %d is outside the \
+                    tenant's pid block"
+                   item
+                   (Ingest.tenant_pid 1 + (1 lsl 20)))
+                m))
+    [ 1; 2 ]
+
+(* Shard-owned ingest adds no per-item allocation to decoding beyond the
+   one copy of a remapped event (6 words) and the recording's own
+   tracker and store work (about 3 here): no engine item, no option box,
+   no merge state.  The merged path allocated both per event, about 15
+   words over decode on this recording. *)
+let test_ingest_allocation () =
+  let r = List.hd (Lazy.force recordings) in
+  with_tmp ~suffix:".pift" (fun path ->
+      Trace_io.save ~format:Trace_io.Binary r path;
+      let per_item f =
+        let w0 = Gc.minor_words () in
+        let n = f () in
+        (Gc.minor_words () -. w0) /. float_of_int n
+      in
+      let decode () =
+        Trace_io.with_reader path (fun rd ->
+            let rec go n =
+              match Trace_io.read_item rd with
+              | Some _ -> go (n + 1)
+              | None -> n
+            in
+            go 0)
+      in
+      let ingest () =
+        Engine.with_engine ~shards:1 (fun eng ->
+            let src = Ingest.of_file ~pid:(Ingest.tenant_pid 0) path in
+            per_item (fun () ->
+                Ingest.run eng [ src ];
+                Ingest.cursor src))
+      in
+      ignore (per_item decode);
+      ignore (ingest ());
+      let d = per_item decode and i = ingest () in
+      checkb
+        (Printf.sprintf "ingest %.1f minor words per item <= decode %.1f + 10"
+           i d)
+        true
+        (i <= d +. 10.))
+
 let () =
   Alcotest.run "pift service"
     [
-      ( "spsc",
-        [
-          Alcotest.test_case "fifo and close" `Quick test_spsc_fifo;
-          Alcotest.test_case "drop when full" `Quick test_spsc_drop_when_full;
-          Alcotest.test_case "abort" `Quick test_spsc_abort;
-          Alcotest.test_case "push after close" `Quick
-            test_spsc_close_rejects_push;
-        ] );
       ( "pool run_job",
         [
           Alcotest.test_case "every worker once" `Quick
@@ -745,10 +893,6 @@ let () =
             test_differential_shards_4;
           Alcotest.test_case "without origins" `Quick
             test_differential_no_origins;
-          Alcotest.test_case "blocking backpressure is lossless" `Quick
-            test_blocking_backpressure_lossless;
-          Alcotest.test_case "drop policy accounting" `Quick
-            test_drop_policy_accounting;
           Alcotest.test_case "one shard never drops" `Quick
             test_inline_shard_never_drops;
         ] );
@@ -785,5 +929,14 @@ let () =
             test_merge_heap_equals_scan;
           Alcotest.test_case "heap = scan (edge cases)" `Quick
             test_merge_edge_cases;
+        ] );
+      ( "shard-owned ingest",
+        [
+          Alcotest.test_case "run = isolated, cursors at idle (property)"
+            `Quick test_ingest_equals_isolated;
+          Alcotest.test_case "pid outside the tenant block fails" `Quick
+            test_pid_outside_block;
+          Alcotest.test_case "no per-item allocation beyond decode" `Quick
+            test_ingest_allocation;
         ] );
     ]
