@@ -453,6 +453,26 @@ let write_store_bench () =
      else "CELLS DIVERGED");
   if not identical then exit 1
 
+(* Where a BENCH file was measured: cores, OCaml version and the source
+   revision ("-dirty" when the tree had uncommitted changes). *)
+let machine_header () =
+  let module Json = Pift_obs.Json in
+  let git_rev =
+    match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
+    | ic -> (
+        let line = try input_line ic with End_of_file -> "" in
+        match Unix.close_process_in ic with
+        | Unix.WEXITED 0 when line <> "" -> line
+        | _ -> "unknown")
+    | exception Unix.Unix_error _ -> "unknown"
+  in
+  Json.Obj
+    [
+      ("cores", Json.Int (Pift_par.Pool.default_jobs ()));
+      ("ocaml_version", Json.String Sys.ocaml_version);
+      ("git_rev", Json.String git_rev);
+    ]
+
 (* Text vs binary trace format on the reference recording: file size,
    load alone, and load+replay throughput, best-of-5 each.  The binary
    replay's verdicts and stats are compared against the text replay's —
@@ -510,6 +530,7 @@ let write_traceio_bench () =
     Json.Obj
       [
         ("bench", Json.String "trace-io-formats");
+        ("machine", machine_header ());
         ("events", Json.Int n);
         ("markers", Json.Int (Array.length recorded.Recorded.markers));
         ("rounds", Json.Int rounds);
@@ -736,26 +757,6 @@ let write_prov_bench () =
     (if rooted then "all paths rooted" else "UNROOTED PATH");
   if not rooted then exit 1
 
-(* Where a BENCH file was measured: cores, OCaml version and the source
-   revision ("-dirty" when the tree had uncommitted changes). *)
-let machine_header () =
-  let module Json = Pift_obs.Json in
-  let git_rev =
-    match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
-    | ic -> (
-        let line = try input_line ic with End_of_file -> "" in
-        match Unix.close_process_in ic with
-        | Unix.WEXITED 0 when line <> "" -> line
-        | _ -> "unknown")
-    | exception Unix.Unix_error _ -> "unknown"
-  in
-  Json.Obj
-    [
-      ("cores", Json.Int (Pift_par.Pool.default_jobs ()));
-      ("ocaml_version", Json.String Sys.ocaml_version);
-      ("git_rev", Json.String git_rev);
-    ]
-
 (* Service-engine ingest throughput, file to verdict: the same recording
    saved once as a PIFTBIN1 file and served as 32 tenants at shard
    counts 1/2/4, each shard decoding and running its own tenants'
@@ -962,7 +963,8 @@ let write_snapshot_bench () =
             (reference, snapshot_s, snapshot_bytes, restore_s))
       in
       (* capture a mid-stream snapshot (first segment boundary at half
-         the items), then restore it and resume to completion *)
+         the items; the segment budget is per shard), then restore it
+         and resume to completion *)
       Engine.with_engine ~shards ~policy ~with_origins:true (fun eng ->
           let sources = mk_sources () in
           let saved = ref false in
@@ -974,7 +976,9 @@ let write_snapshot_bench () =
                 eng mid
             end
           in
-          Ingest.run ~segment:(tenants * items_per_tenant / 2) ~on_idle eng
+          Ingest.run
+            ~segment:(tenants / shards * items_per_tenant / 2)
+            ~on_idle eng
             sources);
       let snap = Snapshot.load mid in
       let snap_items =
@@ -1017,6 +1021,7 @@ let write_snapshot_bench () =
         Json.Obj
           [
             ("bench", Json.String "snapshot");
+            ("machine", machine_header ());
             ("tenants", Json.Int tenants);
             ("shards", Json.Int shards);
             ("events_per_tenant", Json.Int events_per_tenant);

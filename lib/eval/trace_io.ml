@@ -12,11 +12,6 @@ type format = Text | Binary
 
 let format_to_string = function Text -> "text" | Binary -> "binary"
 
-let format_of_string = function
-  | "text" -> Some Text
-  | "binary" -> Some Binary
-  | _ -> None
-
 (* Marker kinds are user-controlled strings embedded in a
    space-separated record format.  A kind containing a space used to
    serialize fine and then fail on load — "unrecognised record" for SRC
@@ -41,69 +36,63 @@ let escape_kind kind =
 let write_range oc r =
   Printf.fprintf oc " %d %d" (Range.lo r) (Range.length r)
 
+(* Both writers walk [Recorded.items]: events and markers in stream
+   order, each marker after the event that reaches its seq. *)
+let iter_items t f =
+  let next = Recorded.items t in
+  let rec go () =
+    match next () with
+    | Some item ->
+        f item;
+        go ()
+    | None -> ()
+  in
+  go ()
+
 let to_channel (t : Recorded.t) oc =
   Printf.fprintf oc "%s\n" magic;
   Printf.fprintf oc "name %s\n" t.Recorded.name;
   Printf.fprintf oc "pid %d\n" t.Recorded.pid;
   Printf.fprintf oc "bytecodes %d\n" t.Recorded.bytecodes;
-  (* Merge events and markers in global-sequence order, markers after the
-     event they follow (same order [Recorded.interleave] applies). *)
-  let markers = t.Recorded.markers in
-  let mi = ref 0 in
-  let emit_markers_until seq =
-    while !mi < Array.length markers && fst markers.(!mi) <= seq do
-      let mseq, marker = markers.(!mi) in
-      (match marker with
-      | Recorded.Source { kind; range } ->
-          Printf.fprintf oc "M %d SRC %s" mseq (escape_kind kind);
-          write_range oc range;
-          output_char oc '\n'
-      | Recorded.Sink { kind; ranges } ->
-          Printf.fprintf oc "M %d SNK %s" mseq (escape_kind kind);
-          List.iter (write_range oc) ranges;
-          output_char oc '\n');
-      incr mi
-    done
-  in
-  emit_markers_until 0;
-  Trace.iter
-    (fun e ->
-      (match e.Event.access with
-      | Event.Load r ->
-          Printf.fprintf oc "L %d %d %d" e.seq e.k e.pid;
-          write_range oc r;
-          output_char oc '\n'
-      | Event.Store r ->
-          Printf.fprintf oc "S %d %d %d" e.seq e.k e.pid;
-          write_range oc r;
-          output_char oc '\n'
-      | Event.Other -> Printf.fprintf oc "O %d %d %d\n" e.seq e.k e.pid);
-      emit_markers_until e.Event.seq)
-    t.Recorded.trace;
-  emit_markers_until max_int
+  iter_items t (function
+    | Recorded.Item_event e -> (
+        match e.Event.access with
+        | Event.Load r ->
+            Printf.fprintf oc "L %d %d %d" e.seq e.k e.pid;
+            write_range oc r;
+            output_char oc '\n'
+        | Event.Store r ->
+            Printf.fprintf oc "S %d %d %d" e.seq e.k e.pid;
+            write_range oc r;
+            output_char oc '\n'
+        | Event.Other -> Printf.fprintf oc "O %d %d %d\n" e.seq e.k e.pid)
+    | Recorded.Item_marker (mseq, Recorded.Source { kind; range }) ->
+        Printf.fprintf oc "M %d SRC %s" mseq (escape_kind kind);
+        write_range oc range;
+        output_char oc '\n'
+    | Recorded.Item_marker (mseq, Recorded.Sink { kind; ranges }) ->
+        Printf.fprintf oc "M %d SNK %s" mseq (escape_kind kind);
+        List.iter (write_range oc) ranges;
+        output_char oc '\n')
 
 (* --- binary format ------------------------------------------------------ *)
 
-(* Record stream after an 8-byte magic and a varint-coded header
-   (name length + bytes, pid, bytecodes):
+(* [Pift_util.Wire] record stream after the magic and an unframed
+   header (name as a string, pid, bytecodes).  Record payloads:
 
    {v
-   <varint payload-length> <payload>
-   payload := tag byte, then varint fields
+   tag byte, then fields
      0 load    dseq dk pid dlo len
      1 store   dseq dk pid dlo len
      2 other   dseq dk pid
-     3 source  dseq kind-len kind-bytes dlo len
-     4 sink    dseq kind-len kind-bytes nranges (dlo len)*
+     3 source  dseq kind(str) dlo len
+     4 sink    dseq kind(str) nranges (dlo len)*
    v}
 
    [dseq]/[dk]/[dlo] are zigzag-coded deltas against the previous
-   record's seq / k / range start (in stream order — the same
-   event/marker interleaving the text writer emits), so consecutive
+   record's seq / k / range start (in stream order), so consecutive
    events cost 1-byte fields almost everywhere.  Kinds are raw bytes
-   behind a length — no escaping.  The length prefix bounds every
-   record, so a truncated or corrupt file fails with the record number
-   instead of a decode exception from half-way inside the stream. *)
+   behind a length — no escaping. *)
 
 let tag_load = 0
 let tag_store = 1
@@ -111,99 +100,48 @@ let tag_other = 2
 let tag_source = 3
 let tag_sink = 4
 
-(* Corrupt binary traces must not be able to make the reader allocate
-   or loop without bound: payloads are capped, varints are capped at 9
-   bytes (63 value bits).  The varint/zigzag primitives and the chunked
-   reader live in [Pift_util.Wire], shared with the service snapshot
-   format. *)
-let max_record_payload = 1 lsl 24
-let add_varint = Wire.add_varint
-let unzigzag = Wire.unzigzag
-let add_svarint = Wire.add_svarint
-
 let to_channel_binary (t : Recorded.t) oc =
-  output_string oc binary_magic;
-  let header = Buffer.create 64 in
-  add_varint header (String.length t.Recorded.name);
-  Buffer.add_string header t.Recorded.name;
-  add_varint header t.Recorded.pid;
-  add_varint header t.Recorded.bytecodes;
-  Buffer.output_buffer oc header;
-  let payload = Buffer.create 64 in
-  let length_prefix = Buffer.create 8 in
+  let w = Wire.Writer.create oc binary_magic in
+  let b = Wire.Writer.buf w in
+  Wire.add_string b t.Recorded.name;
+  Wire.add_varint b t.Recorded.pid;
+  Wire.add_varint b t.Recorded.bytecodes;
+  Wire.Writer.header w;
   let prev_seq = ref 0 and prev_k = ref 0 and prev_lo = ref 0 in
-  let emit () =
-    Buffer.clear length_prefix;
-    add_varint length_prefix (Buffer.length payload);
-    Buffer.output_buffer oc length_prefix;
-    Buffer.output_buffer oc payload;
-    Buffer.clear payload
-  in
-  let add_seq seq =
-    add_svarint payload (seq - !prev_seq);
+  let add_head tag seq =
+    Buffer.add_char b (Char.chr tag);
+    Wire.add_svarint b (seq - !prev_seq);
     prev_seq := seq
   in
   let add_range r =
-    add_svarint payload (Range.lo r - !prev_lo);
-    prev_lo := Range.lo r;
-    add_varint payload (Range.length r)
+    Wire.add_range b !prev_lo r;
+    prev_lo := Range.lo r
   in
-  let add_kind kind =
-    add_varint payload (String.length kind);
-    Buffer.add_string payload kind
-  in
-  let put_marker mseq = function
-    | Recorded.Source { kind; range } ->
-        Buffer.add_char payload (Char.chr tag_source);
-        add_seq mseq;
-        add_kind kind;
-        add_range range;
-        emit ()
-    | Recorded.Sink { kind; ranges } ->
-        Buffer.add_char payload (Char.chr tag_sink);
-        add_seq mseq;
-        add_kind kind;
-        add_varint payload (List.length ranges);
-        List.iter add_range ranges;
-        emit ()
-  in
-  let markers = t.Recorded.markers in
-  let mi = ref 0 in
-  let emit_markers_until seq =
-    while !mi < Array.length markers && fst markers.(!mi) <= seq do
-      let mseq, marker = markers.(!mi) in
-      put_marker mseq marker;
-      incr mi
-    done
-  in
-  let put_event (e : Event.t) =
-    let put_mem tag r =
-      Buffer.add_char payload (Char.chr tag);
-      add_seq e.Event.seq;
-      add_svarint payload (e.Event.k - !prev_k);
-      prev_k := e.Event.k;
-      add_varint payload e.Event.pid;
-      add_range r;
-      emit ()
-    in
-    match e.Event.access with
-    | Event.Load r -> put_mem tag_load r
-    | Event.Store r -> put_mem tag_store r
-    | Event.Other ->
-        Buffer.add_char payload (Char.chr tag_other);
-        add_seq e.Event.seq;
-        add_svarint payload (e.Event.k - !prev_k);
-        prev_k := e.Event.k;
-        add_varint payload e.Event.pid;
-        emit ()
-  in
-  emit_markers_until 0;
-  Trace.iter
-    (fun e ->
-      put_event e;
-      emit_markers_until e.Event.seq)
-    t.Recorded.trace;
-  emit_markers_until max_int
+  iter_items t (fun item ->
+      (match item with
+      | Recorded.Item_event e ->
+          add_head
+            (match e.Event.access with
+            | Event.Load _ -> tag_load
+            | Event.Store _ -> tag_store
+            | Event.Other -> tag_other)
+            e.Event.seq;
+          Wire.add_svarint b (e.Event.k - !prev_k);
+          prev_k := e.Event.k;
+          Wire.add_varint b e.Event.pid;
+          (match e.Event.access with
+          | Event.Load r | Event.Store r -> add_range r
+          | Event.Other -> ())
+      | Recorded.Item_marker (mseq, Recorded.Source { kind; range }) ->
+          add_head tag_source mseq;
+          Wire.add_string b kind;
+          add_range range
+      | Recorded.Item_marker (mseq, Recorded.Sink { kind; ranges }) ->
+          add_head tag_sink mseq;
+          Wire.add_string b kind;
+          Wire.add_varint b (List.length ranges);
+          List.iter add_range ranges);
+      Wire.Writer.record w)
 
 let save ?(format = Text) t path =
   let oc = open_out_bin path in
@@ -218,6 +156,12 @@ let save ?(format = Text) t path =
 
 let fail_line n msg = failwith (Printf.sprintf "Trace_io: line %d: %s" n msg)
 
+(* Events must not go back in time: the tracker's series would reject
+   them later with no position.  Markers are exempt — a marker follows
+   the event that reaches its seq, so its seq may be lower. *)
+let backwards seq prev =
+  Printf.sprintf "event seq %d goes backwards (previous event %d)" seq prev
+
 let parse_int n s =
   match int_of_string_opt s with
   | Some v -> v
@@ -226,8 +170,9 @@ let parse_int n s =
 (* A corrupt length or address must surface as a positioned Trace_io
    error, not escape as a bare [Invalid_argument "Range.of_len"] from
    deep inside the parser. *)
-let range_of_len fail lo len =
-  try Range.of_len lo len with Invalid_argument msg -> fail msg
+let range_of_len n lo len =
+  try Range.of_len (parse_int n lo) (parse_int n len)
+  with Invalid_argument msg -> fail_line n msg
 
 (* A synthetic instruction for deserialised memory events: serialisation
    keeps only the access, which is all the PIFT analysis consumes. *)
@@ -268,57 +213,28 @@ let unescape_kind n s =
 let rec parse_ranges n = function
   | [] -> []
   | [ _ ] -> fail_line n "dangling range component"
-  | lo :: len :: rest ->
-      range_of_len (fail_line n) (parse_int n lo) (parse_int n len)
-      :: parse_ranges n rest
+  | lo :: len :: rest -> range_of_len n lo len :: parse_ranges n rest
 
 type header = { h_name : string; h_pid : int; h_bytecodes : int }
 
-(* One record line to one stream item — shared by the whole-trace loader
-   and the streaming reader, so both reject malformed input with the
-   same positioned error. *)
+let text_event n seq k pid insn access =
+  Recorded.Item_event
+    { Event.seq = parse_int n seq; k = parse_int n k; pid = parse_int n pid;
+      insn; access }
+
+(* One record line to one stream item. *)
 let text_item n line =
   match String.split_on_char ' ' line with
-  | [ "L"; seq; k; epid; lo; len ] ->
-      Recorded.Item_event
-        {
-          Event.seq = parse_int n seq;
-          k = parse_int n k;
-          pid = parse_int n epid;
-          insn = synth_load;
-          access =
-            Event.Load
-              (range_of_len (fail_line n) (parse_int n lo) (parse_int n len));
-        }
-  | [ "S"; seq; k; epid; lo; len ] ->
-      Recorded.Item_event
-        {
-          Event.seq = parse_int n seq;
-          k = parse_int n k;
-          pid = parse_int n epid;
-          insn = synth_store;
-          access =
-            Event.Store
-              (range_of_len (fail_line n) (parse_int n lo) (parse_int n len));
-        }
-  | [ "O"; seq; k; epid ] ->
-      Recorded.Item_event
-        {
-          Event.seq = parse_int n seq;
-          k = parse_int n k;
-          pid = parse_int n epid;
-          insn = Insn.Nop;
-          access = Event.Other;
-        }
+  | [ "L"; seq; k; pid; lo; len ] ->
+      text_event n seq k pid synth_load (Event.Load (range_of_len n lo len))
+  | [ "S"; seq; k; pid; lo; len ] ->
+      text_event n seq k pid synth_store (Event.Store (range_of_len n lo len))
+  | [ "O"; seq; k; pid ] -> text_event n seq k pid Insn.Nop Event.Other
   | [ "M"; seq; "SRC"; kind; lo; len ] ->
       Recorded.Item_marker
         ( parse_int n seq,
           Recorded.Source
-            {
-              kind = unescape_kind n kind;
-              range =
-                range_of_len (fail_line n) (parse_int n lo) (parse_int n len);
-            } )
+            { kind = unescape_kind n kind; range = range_of_len n lo len } )
   | "M" :: seq :: "SNK" :: kind :: rest ->
       Recorded.Item_marker
         ( parse_int n seq,
@@ -346,236 +262,113 @@ let text_open ic =
   let h_name = header "name" in
   let h_pid = parse_int !line_no (header "pid") in
   let h_bytecodes = parse_int !line_no (header "bytecodes") in
+  let event_seq = ref min_int in
   let rec next_item () =
     match next () with
     | exception End_of_file -> None
     | "" -> next_item ()
-    | line -> Some (text_item !line_no line)
+    | line ->
+        let item = text_item !line_no line in
+        (match item with
+        | Recorded.Item_event e ->
+            if e.Event.seq < !event_seq then
+              fail_line !line_no (backwards e.Event.seq !event_seq);
+            event_seq := e.Event.seq
+        | Recorded.Item_marker _ -> ());
+        Some item
   in
   ({ h_name; h_pid; h_bytecodes }, next_item)
 
-let of_channel ic =
-  let h, next = text_open ic in
-  let trace = Trace.create () in
-  let markers = ref [] in
-  let rec drain () =
-    match next () with
-    | None -> ()
-    | Some (Recorded.Item_event e) ->
-        Trace.add trace e;
-        drain ()
-    | Some (Recorded.Item_marker (seq, m)) ->
-        markers := (seq, m) :: !markers;
-        drain ()
-  in
-  drain ();
-  {
-    Recorded.name = h.h_name;
-    trace;
-    markers = Array.of_list (List.rev !markers);
-    pid = h.h_pid;
-    bytecodes = h.h_bytecodes;
-  }
-
-(* --- binary parsing ------------------------------------------------------ *)
-
-let fail_record n msg = failwith (Printf.sprintf "Trace_io: record %d: %s" n msg)
-
-(* The chunked channel reader is [Wire.Reader] — shared with the
-   snapshot format, which has the same length-prefixed record shape. *)
-type rd = Wire.Reader.t
-
-let rd_create = Wire.Reader.create
-let rd_has = Wire.Reader.has
-let rd_varint = Wire.Reader.varint
-
-(* Pull-side decoder state: the chunk reader plus the record counter and
-   the delta baselines.  The decode helpers are top-level functions over
-   this record and [br_fail] is built once per reader (it reads
-   [br_record] when it fires), so decoding a record allocates only the
-   item itself. *)
+(* Binary decoder state over the shared record reader: the delta
+   baselines and the last event's seq.  Decoding a record allocates
+   only the item itself. *)
 type bin_reader = {
-  br_rd : rd;
-  mutable br_record : int;
+  br_rd : Wire.Reader.t;
   mutable br_prev_seq : int;
   mutable br_prev_k : int;
   mutable br_prev_lo : int;
-  mutable br_pos : int;  (* next payload byte *)
-  mutable br_limit : int;  (* end of current payload *)
-  br_fail : 'a. string -> 'a;  (* fails with the current record number *)
+  mutable br_event_seq : int;
 }
 
-let rec br_varint_rest br shift acc =
-  if br.br_pos >= br.br_limit then br.br_fail "truncated record payload"
-  else begin
-    let b = Char.code (Bytes.unsafe_get br.br_rd.Wire.Reader.buf br.br_pos) in
-    br.br_pos <- br.br_pos + 1;
-    if shift > 56 && b > 0x7f then br.br_fail "varint overflow"
-    else begin
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b < 0x80 then acc else br_varint_rest br (shift + 7) acc
-    end
-  end
-
-let br_varint br = br_varint_rest br 0 0
-
-let br_svarint br = unzigzag (br_varint br)
-
 let br_seq br =
-  br.br_prev_seq <- br.br_prev_seq + br_svarint br;
+  br.br_prev_seq <- br.br_prev_seq + Wire.Reader.svarint br.br_rd;
   br.br_prev_seq
 
 let br_range br =
-  br.br_prev_lo <- br.br_prev_lo + br_svarint br;
-  range_of_len br.br_fail br.br_prev_lo (br_varint br)
-
-let br_kind br =
-  let klen = br_varint br in
-  if klen < 0 || br.br_pos + klen > br.br_limit then br.br_fail "truncated kind";
-  let s = Bytes.sub_string br.br_rd.Wire.Reader.buf br.br_pos klen in
-  br.br_pos <- br.br_pos + klen;
-  s
+  let r = Wire.Reader.range br.br_rd br.br_prev_lo in
+  br.br_prev_lo <- Range.lo r;
+  r
 
 (* Magic + header, eagerly; the returned reader is positioned at the
    first record. *)
 let bin_open ic =
-  let mlen = String.length binary_magic in
-  (match really_input_string ic mlen with
-  | s when String.equal s binary_magic -> ()
-  | _ -> fail_record 0 "bad magic"
-  | exception End_of_file -> fail_record 0 "bad magic (truncated)");
-  let rd = rd_create ic in
-  let fail0 = fail_record 0 in
-  let name_len = rd_varint fail0 rd in
-  if name_len < 0 || name_len > max_record_payload then
-    fail0 "implausible name length";
-  if not (rd_has rd name_len) then fail0 "truncated header";
-  let h_name = Bytes.sub_string rd.Wire.Reader.buf rd.Wire.Reader.lo name_len in
-  rd.Wire.Reader.lo <- rd.Wire.Reader.lo + name_len;
-  let h_pid = rd_varint fail0 rd in
-  let h_bytecodes = rd_varint fail0 rd in
-  let rec br =
+  let rd = Wire.Reader.create ~format:"Trace_io" ~magic:binary_magic ic in
+  let h_name = Wire.Reader.header_string rd "name" in
+  let h_pid = Wire.Reader.header_varint rd in
+  let h_bytecodes = Wire.Reader.header_varint rd in
+  ( { h_name; h_pid; h_bytecodes },
     {
       br_rd = rd;
-      br_record = 0;
       br_prev_seq = 0;
       br_prev_k = 0;
       br_prev_lo = 0;
-      br_pos = 0;
-      br_limit = 0;
-      br_fail = (fun msg -> fail_record br.br_record msg);
-    }
-  in
-  ({ h_name; h_pid; h_bytecodes }, br)
+      br_event_seq = min_int;
+    } )
 
-(* The record's payload length.  Almost every record is shorter than
-   128 bytes, so a one-byte prefix that is already buffered is read in
-   place; anything else goes through the general varint reader. *)
-let bin_length br =
-  let rd = br.br_rd in
-  let lo = rd.Wire.Reader.lo in
-  let b =
-    if lo < rd.Wire.Reader.hi then Char.code (Bytes.unsafe_get rd.Wire.Reader.buf lo)
-    else 0x80
-  in
-  if b < 0x80 then begin
-    rd.Wire.Reader.lo <- lo + 1;
-    b
-  end
-  else rd_varint ~first_eof_ok:true br.br_fail rd
-
-(* One record per pull; [None] only on EOF exactly at a record boundary,
-   anything else fails with the record number. *)
 let bin_next br =
   let rd = br.br_rd in
-  br.br_record <- br.br_record + 1;
-  match bin_length br with
-  | exception End_of_file ->
-      br.br_record <- br.br_record - 1;
-      None
-  | len ->
-      let fail = br.br_fail in
-      if len <= 0 then fail "empty record";
-      if len > max_record_payload then fail "implausible record length";
-      if not (rd_has rd len) then
-        fail (Printf.sprintf "truncated record (%d payload bytes)" len);
-      br.br_pos <- rd.Wire.Reader.lo + 1;
-      br.br_limit <- rd.Wire.Reader.lo + len;
-      let tag = Char.code (Bytes.unsafe_get rd.Wire.Reader.buf rd.Wire.Reader.lo) in
-      rd.Wire.Reader.lo <- rd.Wire.Reader.lo + len;
-      let item =
-        if tag = tag_load || tag = tag_store then begin
-          let seq = br_seq br in
-          br.br_prev_k <- br.br_prev_k + br_svarint br;
-          let pid = br_varint br in
-          let r = br_range br in
-          Recorded.Item_event
-            {
-              Event.seq;
-              k = br.br_prev_k;
-              pid;
-              insn = (if tag = tag_load then synth_load else synth_store);
-              access = (if tag = tag_load then Event.Load r else Event.Store r);
-            }
-        end
-        else if tag = tag_other then begin
-          let seq = br_seq br in
-          br.br_prev_k <- br.br_prev_k + br_svarint br;
-          let pid = br_varint br in
-          Recorded.Item_event
-            { Event.seq; k = br.br_prev_k; pid; insn = Insn.Nop;
-              access = Event.Other }
-        end
-        else if tag = tag_source then begin
-          let seq = br_seq br in
-          let kind = br_kind br in
-          let range = br_range br in
-          Recorded.Item_marker (seq, Recorded.Source { kind; range })
-        end
-        else if tag = tag_sink then begin
-          let seq = br_seq br in
-          let kind = br_kind br in
-          let nranges = br_varint br in
-          if nranges < 0 || nranges > len then fail "implausible range count";
-          let ranges = List.init nranges (fun _ -> br_range br) in
-          Recorded.Item_marker (seq, Recorded.Sink { kind; ranges })
-        end
-        else fail (Printf.sprintf "unknown record tag %d" tag)
-      in
-      if br.br_pos <> br.br_limit then fail "trailing bytes in record";
-      Some item
+  let tag = Wire.Reader.next rd in
+  if tag < 0 then None
+  else begin
+    let item =
+      if tag <= tag_other then begin
+        let seq = br_seq br in
+        br.br_prev_k <- br.br_prev_k + Wire.Reader.svarint rd;
+        let pid = Wire.Reader.varint rd in
+        Recorded.Item_event
+          (if tag = tag_other then
+             { Event.seq; k = br.br_prev_k; pid; insn = Insn.Nop;
+               access = Event.Other }
+           else begin
+             let r = br_range br in
+             {
+               Event.seq;
+               k = br.br_prev_k;
+               pid;
+               insn = (if tag = tag_load then synth_load else synth_store);
+               access = (if tag = tag_load then Event.Load r else Event.Store r);
+             }
+           end)
+      end
+      else if tag = tag_source then begin
+        let seq = br_seq br in
+        let kind = Wire.Reader.string rd "kind" in
+        let range = br_range br in
+        Recorded.Item_marker (seq, Recorded.Source { kind; range })
+      end
+      else if tag = tag_sink then begin
+        let seq = br_seq br in
+        let kind = Wire.Reader.string rd "kind" in
+        let ranges =
+          List.init (Wire.Reader.count rd "range") (fun _ -> br_range br)
+        in
+        Recorded.Item_marker (seq, Recorded.Sink { kind; ranges })
+      end
+      else Wire.Reader.fail rd (Printf.sprintf "unknown record tag %d" tag)
+    in
+    Wire.Reader.finish rd;
+    (* Checked on the whole record, so a record that is corrupt in
+       other ways reports that first. *)
+    (match item with
+    | Recorded.Item_event e ->
+        if e.Event.seq < br.br_event_seq then
+          Wire.Reader.fail rd (backwards e.Event.seq br.br_event_seq);
+        br.br_event_seq <- e.Event.seq
+    | Recorded.Item_marker _ -> ());
+    Some item
+  end
 
-let iter_channel_binary ic ~on_event ~on_marker =
-  let h, br = bin_open ic in
-  let rec drain () =
-    match bin_next br with
-    | None -> ()
-    | Some (Recorded.Item_event e) ->
-        on_event e;
-        drain ()
-    | Some (Recorded.Item_marker (seq, m)) ->
-        on_marker seq m;
-        drain ()
-  in
-  drain ();
-  h
-
-let of_channel_binary ic =
-  let trace = Trace.create () in
-  let markers = ref [] in
-  let h =
-    iter_channel_binary ic ~on_event:(Trace.add trace)
-      ~on_marker:(fun seq m -> markers := (seq, m) :: !markers)
-  in
-  {
-    Recorded.name = h.h_name;
-    trace;
-    markers = Array.of_list (List.rev !markers);
-    pid = h.h_pid;
-    bytecodes = h.h_bytecodes;
-  }
-
-(* --- loading with format autodetection ----------------------------------- *)
+(* --- readers with format autodetection ----------------------------------- *)
 
 let detect_channel ic =
   let mlen = String.length binary_magic in
@@ -594,21 +387,8 @@ let detect_format path =
   let ic = open_in_bin path in
   Fun.protect ~finally:(fun () -> close_in ic) (fun () -> detect_channel ic)
 
-let load ?profile path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      Pift_obs.Profile.span profile "trace_io" (fun () ->
-          match detect_channel ic with
-          | Binary -> of_channel_binary ic
-          | Text -> of_channel ic))
-
-(* --- streaming readers --------------------------------------------------- *)
-
 type reader = {
   r_ic : in_channel;
-  r_format : format;
   r_header : header;
   r_next : unit -> Recorded.item option;
   mutable r_closed : bool;
@@ -620,20 +400,16 @@ let open_reader path =
     match detect_channel ic with
     | Binary ->
         let h, br = bin_open ic in
-        (Binary, h, fun () -> bin_next br)
-    | Text ->
-        let h, next = text_open ic in
-        (Text, h, next)
+        (h, fun () -> bin_next br)
+    | Text -> text_open ic
   with
-  | r_format, r_header, r_next ->
-      { r_ic = ic; r_format; r_header; r_next; r_closed = false }
+  | r_header, r_next -> { r_ic = ic; r_header; r_next; r_closed = false }
   | exception e ->
       close_in_noerr ic;
       raise e
 
 let read_item r = r.r_next ()
 let reader_header r = r.r_header
-let reader_format r = r.r_format
 
 let close_reader r =
   if not r.r_closed then begin
@@ -644,3 +420,28 @@ let close_reader r =
 let with_reader path f =
   let r = open_reader path in
   Fun.protect ~finally:(fun () -> close_reader r) (fun () -> f r)
+
+let load ?profile path =
+  Pift_obs.Profile.span profile "trace_io" (fun () ->
+      with_reader path (fun r ->
+          let trace = Trace.create () in
+          let markers = ref [] in
+          let rec drain () =
+            match read_item r with
+            | None -> ()
+            | Some (Recorded.Item_event e) ->
+                Trace.add trace e;
+                drain ()
+            | Some (Recorded.Item_marker (seq, m)) ->
+                markers := (seq, m) :: !markers;
+                drain ()
+          in
+          drain ();
+          let h = r.r_header in
+          {
+            Recorded.name = h.h_name;
+            trace;
+            markers = Array.of_list (List.rev !markers);
+            pid = h.h_pid;
+            bytecodes = h.h_bytecodes;
+          }))

@@ -24,14 +24,18 @@
 
     {2 Binary ([PIFTBIN1])}
 
-    A compact length-prefixed record stream for large recordings: after
-    the 8-byte magic and a varint header (name, pid, bytecodes), each
-    record is a varint payload length followed by a tag byte and
+    A compact {!Pift_util.Wire} record stream for large recordings:
+    after the 8-byte magic and a varint header (name, pid, bytecodes),
+    each record is a varint payload length followed by a tag byte and
     LEB128-varint fields.  Sequence numbers, instruction counters, and
     range starts are zigzag-coded deltas against the previous record, so
     the common consecutive-event case costs one byte per field.  The
     length prefix bounds every record: truncated or corrupt files are
     rejected with the failing record's number.
+
+    In either format an event whose seq is below the previous event's is
+    rejected at its line or record.  A marker's seq may be lower: it
+    follows the event that reaches it.
 
     Either format round-trips loads, stores, and markers exactly —
     replaying a loaded recording produces byte-identical verdicts.
@@ -43,15 +47,14 @@
 type format = Text | Binary
 
 val format_to_string : format -> string
-val format_of_string : string -> format option
 
 val save : ?format:format -> Recorded.t -> string -> unit
 (** [save recording path] — writes the file, overwriting.  [format]
     defaults to [Text]. *)
 
 val load : ?profile:Pift_obs.Profile.t -> string -> Recorded.t
-(** Autodetects the format from the magic bytes.  Raises [Failure] with
-    a line number (text) or record number (binary) on malformed input.
+(** {!open_reader} drained into a recording.  Raises [Failure] with a
+    line number (text) or record number (binary) on malformed input.
     With [profile], the whole parse is attributed to a ["trace_io"]
     region, so decode cost shows up in the overhead breakdown next to
     tracker and store time. *)
@@ -59,24 +62,6 @@ val load : ?profile:Pift_obs.Profile.t -> string -> Recorded.t
 val detect_format : string -> format
 (** Peeks at the magic bytes; files too short to be binary (or with any
     other leading bytes) report [Text], whose parser owns the error. *)
-
-val to_channel : Recorded.t -> out_channel -> unit
-val of_channel : in_channel -> Recorded.t
-
-val to_channel_binary : Recorded.t -> out_channel -> unit
-val of_channel_binary : in_channel -> Recorded.t
-
-type header = { h_name : string; h_pid : int; h_bytecodes : int }
-
-val iter_channel_binary :
-  in_channel ->
-  on_event:(Pift_trace.Event.t -> unit) ->
-  on_marker:(int -> Recorded.marker -> unit) ->
-  header
-(** Streaming binary reader: decodes records into the callbacks in file
-    order without materialising any per-event list, reusing one scratch
-    buffer across records.  Returns the header once the stream ends.
-    Raises [Failure] with the record number on malformed input. *)
 
 (** {1 Streaming readers}
 
@@ -102,8 +87,9 @@ val read_item : reader -> Recorded.item option
     (binary) position; items before the corruption have already been
     delivered, so an ingester can account for partial streams. *)
 
+type header = { h_name : string; h_pid : int; h_bytecodes : int }
+
 val reader_header : reader -> header
-val reader_format : reader -> format
 
 val close_reader : reader -> unit
 (** Idempotent. *)

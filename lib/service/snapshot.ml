@@ -6,13 +6,13 @@ module Provenance = Pift_core.Provenance
 
 (* On-disk durability for the multi-tenant engine.
 
-   Layout (all integers are Wire varints; strings are length-prefixed
-   raw bytes; ranges are [svarint lo, varint length]):
+   A [Pift_util.Wire] record stream (integers are varints, strings
+   length-prefixed raw bytes, ranges [svarint lo, varint length]) after
+   the magic "PIFTSNAP" and a version byte '1', with no other header.
+   Record payloads:
 
    {v
-   "PIFTSNAP" <version byte '1'>
-   <varint payload-length> <payload>   repeated until EOF
-   payload := tag byte, then fields
+   tag byte, then fields
      0 manifest  shards pid_range backend(str) with_origins(byte)
                  ni nt untaint(byte) n_sources n_tenants
      1 source    name(str) path(str) pid(hex str) orig-pid(hex str)
@@ -43,7 +43,7 @@ module Provenance = Pift_core.Provenance
    and the strict hex validation gives corrupt bytes a typed,
    positioned failure instead of a silently misrouted tenant.
 
-   Failure discipline matches Trace_io: every corrupt byte surfaces as
+   Wire owns the framing and its errors: every corrupt byte surfaces as
    [Failure "Snapshot: record N: ..."], never a bare exception, and a
    streaming {!iter} delivers every intact prefix record before the
    positioned error.  Writes are atomic (temp file + rename), so a
@@ -51,7 +51,6 @@ module Provenance = Pift_core.Provenance
 
 let magic = "PIFTSNAP"
 let version = '1'
-let max_record_payload = 1 lsl 24
 
 let tag_manifest = 0
 let tag_source = 1
@@ -87,15 +86,9 @@ type record =
 
 (* --- encoding ----------------------------------------------------------- *)
 
-let add_bool buf b = Buffer.add_char buf (if b then '\001' else '\000')
-
-let add_range buf r =
-  Wire.add_svarint buf (Range.lo r);
-  Wire.add_varint buf (Range.length r)
-
 let add_ranges buf rs =
   Wire.add_varint buf (List.length rs);
-  List.iter (add_range buf) rs
+  List.iter (Wire.add_range buf 0) rs
 
 (* The manifest's backend field names the store that wrote the file.
    Persisted state is canonical range lists, so any store restores it;
@@ -109,10 +102,10 @@ let add_manifest buf m =
   Wire.add_varint buf m.m_shards;
   Wire.add_varint buf m.m_pid_range;
   Wire.add_string buf store_name;
-  add_bool buf m.m_with_origins;
+  Wire.add_bool buf m.m_with_origins;
   Wire.add_varint buf m.m_policy.Policy.ni;
   Wire.add_varint buf m.m_policy.Policy.nt;
-  add_bool buf m.m_policy.Policy.untaint;
+  Wire.add_bool buf m.m_policy.Policy.untaint;
   Wire.add_varint buf m.m_sources;
   Wire.add_varint buf m.m_tenants
 
@@ -142,10 +135,10 @@ let add_prov buf (pp : Provenance.persisted) =
       List.iter (Wire.add_string buf) pw.Provenance.pw_labels;
       Wire.add_svarint buf pw.Provenance.pw_opener_seq;
       match pw.Provenance.pw_opener_range with
-      | None -> add_bool buf false
+      | None -> Wire.add_bool buf false
       | Some r ->
-          add_bool buf true;
-          add_range buf r)
+          Wire.add_bool buf true;
+          Wire.add_range buf 0 r)
     pp.Provenance.ps_windows;
   Wire.add_varint buf (List.length pp.Provenance.ps_known_labels);
   List.iter (Wire.add_string buf) pp.Provenance.ps_known_labels;
@@ -159,7 +152,7 @@ let add_tenant buf (tp : Engine.tenant_persisted) =
   List.iter
     (fun (v : Engine.verdict) ->
       Wire.add_string buf v.Engine.v_kind;
-      add_bool buf v.Engine.v_flagged;
+      Wire.add_bool buf v.Engine.v_flagged;
       Wire.add_varint buf (List.length v.Engine.v_origins);
       List.iter (Wire.add_string buf) v.Engine.v_origins)
     tp.Engine.tp_verdicts;
@@ -187,34 +180,25 @@ let add_tenant buf (tp : Engine.tenant_persisted) =
       add_ranges buf ranges)
     p.Tracker.p_store;
   match p.Tracker.p_prov with
-  | None -> add_bool buf false
+  | None -> Wire.add_bool buf false
   | Some pp ->
-      add_bool buf true;
+      Wire.add_bool buf true;
       add_prov buf pp
 
 let to_channel t oc =
-  output_string oc magic;
-  output_char oc version;
-  let payload = Buffer.create 256 in
-  let prefix = Buffer.create 8 in
-  let emit () =
-    Buffer.clear prefix;
-    Wire.add_varint prefix (Buffer.length payload);
-    Buffer.output_buffer oc prefix;
-    Buffer.output_buffer oc payload;
-    Buffer.clear payload
-  in
-  add_manifest payload t.manifest;
-  emit ();
+  let w = Wire.Writer.create oc (magic ^ String.make 1 version) in
+  let buf = Wire.Writer.buf w in
+  add_manifest buf t.manifest;
+  Wire.Writer.record w;
   List.iter
     (fun se ->
-      add_source payload se;
-      emit ())
+      add_source buf se;
+      Wire.Writer.record w)
     t.sources;
   List.iter
     (fun tp ->
-      add_tenant payload tp;
-      emit ())
+      add_tenant buf tp;
+      Wire.Writer.record w)
     t.tenants
 
 (* Atomic: a crash (or SIGKILL) between two snapshot cadences must
@@ -234,75 +218,17 @@ let write path t =
 
 (* --- decoding ----------------------------------------------------------- *)
 
-let fail_record n msg = failwith (Printf.sprintf "Snapshot: record %d: %s" n msg)
+module R = Wire.Reader
 
-(* Decoder over one buffered record: [Wire.Reader.has] pinned the whole
-   payload into the chunk buffer, so fields decode in place between
-   [pos] and [limit]. *)
-type br = {
-  rd : Wire.Reader.t;
-  mutable record : int;
-  mutable pos : int;
-  mutable limit : int;
-}
-
-let br_fail br msg = fail_record br.record msg
-
-let br_varint br =
-  let rec go shift acc =
-    if br.pos >= br.limit then br_fail br "truncated record payload"
-    else begin
-      let b = Char.code (Bytes.unsafe_get br.rd.Wire.Reader.buf br.pos) in
-      br.pos <- br.pos + 1;
-      if shift > 56 && b > 0x7f then br_fail br "varint overflow"
-      else begin
-        let acc = acc lor ((b land 0x7f) lsl shift) in
-        if b < 0x80 then acc else go (shift + 7) acc
-      end
-    end
-  in
-  go 0 0
-
-let br_svarint br = Wire.unzigzag (br_varint br)
-
-let br_bool br =
-  if br.pos >= br.limit then br_fail br "truncated record payload";
-  let b = Char.code (Bytes.unsafe_get br.rd.Wire.Reader.buf br.pos) in
-  br.pos <- br.pos + 1;
-  match b with
-  | 0 -> false
-  | 1 -> true
-  | b -> br_fail br (Printf.sprintf "bad boolean byte %d" b)
-
-let br_string br =
-  let len = br_varint br in
-  if len < 0 || br.pos + len > br.limit then br_fail br "truncated string";
-  let s = Bytes.sub_string br.rd.Wire.Reader.buf br.pos len in
-  br.pos <- br.pos + len;
-  s
-
-(* A bounded count before List.init keeps corrupt counts from
-   allocating without limit: every element is at least one payload
-   byte, so a legitimate count never exceeds the record length. *)
-let br_count br what =
-  let n = br_varint br in
-  if n < 0 || n > br.limit - br.pos + 1 then
-    br_fail br (Printf.sprintf "implausible %s count" what);
-  n
-
-let br_range br =
-  let lo = br_svarint br in
-  let len = br_varint br in
-  try Range.of_len lo len with Invalid_argument msg -> br_fail br msg
-
-let br_ranges br = List.init (br_count br "range") (fun _ -> br_range br)
+let br_string r = R.string r "string"
+let br_ranges r = List.init (R.count r "range") (fun _ -> R.range r 0)
 
 (* Strict hex, mirroring Trace_io's kind-escape validation: any
    non-hex byte is a positioned error, and [int_of_string]'s laxness
    (underscores, nested "0x") never gets a say. *)
-let br_hex_pid br what =
-  let s = br_string br in
-  if s = "" then br_fail br (Printf.sprintf "empty %s record" what);
+let br_hex_pid r what =
+  let s = br_string r in
+  if s = "" then R.fail r (Printf.sprintf "empty %s record" what);
   let v = ref 0 in
   String.iter
     (fun c ->
@@ -311,34 +237,32 @@ let br_hex_pid br what =
         | '0' .. '9' -> Char.code c - Char.code '0'
         | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
         | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-        | _ ->
-            br_fail br (Printf.sprintf "non-hex %s record: %S" what s)
+        | _ -> R.fail r (Printf.sprintf "non-hex %s record: %S" what s)
       in
       if !v > max_int lsr 4 then
-        br_fail br (Printf.sprintf "%s overflow: %S" what s);
+        R.fail r (Printf.sprintf "%s overflow: %S" what s);
       v := (!v lsl 4) lor d)
     s;
   !v
 
-let read_manifest br =
-  let m_shards = br_varint br in
-  let m_pid_range = br_varint br in
-  let backend_s = br_string br in
+let read_manifest r =
+  let m_shards = R.varint r in
+  let m_pid_range = R.varint r in
+  let backend_s = br_string r in
   if not (List.mem backend_s legacy_store_names) then
-    br_fail br (Printf.sprintf "unknown backend %S" backend_s);
-  let m_with_origins = br_bool br in
-  let ni = br_varint br in
-  let nt = br_varint br in
-  let untaint = br_bool br in
+    R.fail r (Printf.sprintf "unknown backend %S" backend_s);
+  let m_with_origins = R.bool r in
+  let ni = R.varint r in
+  let nt = R.varint r in
+  let untaint = R.bool r in
   let policy =
-    try Policy.make ~untaint ~ni ~nt ()
-    with Invalid_argument msg -> br_fail br msg
+    try Policy.make ~untaint ~ni ~nt () with Invalid_argument msg -> R.fail r msg
   in
-  let m_sources = br_varint br in
-  let m_tenants = br_varint br in
-  if m_shards <= 0 then br_fail br "manifest: shards must be positive";
-  if m_pid_range <= 0 then br_fail br "manifest: pid_range must be positive";
-  if m_sources < 0 || m_tenants < 0 then br_fail br "manifest: negative count";
+  let m_sources = R.varint r in
+  let m_tenants = R.varint r in
+  if m_shards <= 0 then R.fail r "manifest: shards must be positive";
+  if m_pid_range <= 0 then R.fail r "manifest: pid_range must be positive";
+  if m_sources < 0 || m_tenants < 0 then R.fail r "manifest: negative count";
   {
     m_shards;
     m_pid_range;
@@ -348,34 +272,30 @@ let read_manifest br =
     m_tenants;
   }
 
-let read_source br =
-  let se_name = br_string br in
-  let se_path = br_string br in
-  let se_pid = br_hex_pid br "pid" in
-  let se_orig_pid = br_hex_pid br "orig-pid" in
-  let se_cursor = br_varint br in
-  if se_cursor < 0 then br_fail br "negative cursor";
+let read_source r =
+  let se_name = br_string r in
+  let se_path = br_string r in
+  let se_pid = br_hex_pid r "pid" in
+  let se_orig_pid = br_hex_pid r "orig-pid" in
+  let se_cursor = R.varint r in
+  if se_cursor < 0 then R.fail r "negative cursor";
   { se_name; se_path; se_pid; se_orig_pid; se_cursor }
 
-let read_prov br : Provenance.persisted =
+let read_prov r : Provenance.persisted =
   let ps_entries =
-    List.init (br_count br "prov entry") (fun _ ->
-        let pid = br_varint br in
-        let label = br_string br in
-        ((pid, label), br_ranges br))
+    List.init (R.count r "prov entry") (fun _ ->
+        let pid = R.varint r in
+        let label = br_string r in
+        ((pid, label), br_ranges r))
   in
   let ps_windows =
-    List.init (br_count br "prov window") (fun _ ->
-        let pw_pid = br_varint br in
-        let pw_ltlt = br_svarint br in
-        let pw_nt_used = br_varint br in
-        let pw_labels =
-          List.init (br_count br "label") (fun _ -> br_string br)
-        in
-        let pw_opener_seq = br_svarint br in
-        let pw_opener_range =
-          if br_bool br then Some (br_range br) else None
-        in
+    List.init (R.count r "prov window") (fun _ ->
+        let pw_pid = R.varint r in
+        let pw_ltlt = R.svarint r in
+        let pw_nt_used = R.varint r in
+        let pw_labels = List.init (R.count r "label") (fun _ -> br_string r) in
+        let pw_opener_seq = R.svarint r in
+        let pw_opener_range = if R.bool r then Some (R.range r 0) else None in
         {
           Provenance.pw_pid;
           pw_ltlt;
@@ -386,44 +306,42 @@ let read_prov br : Provenance.persisted =
         })
   in
   let ps_known_labels =
-    List.init (br_count br "known label") (fun _ -> br_string br)
+    List.init (R.count r "known label") (fun _ -> br_string r)
   in
-  let ps_probes = br_varint br in
+  let ps_probes = R.varint r in
   { Provenance.ps_entries; ps_windows; ps_known_labels; ps_probes }
 
-let read_tenant br : Engine.tenant_persisted =
-  let tp_pid = br_varint br in
-  let tp_name = br_string br in
+let read_tenant r : Engine.tenant_persisted =
+  let tp_pid = R.varint r in
+  let tp_name = br_string r in
   let tp_verdicts =
-    List.init (br_count br "verdict") (fun _ ->
-        let v_kind = br_string br in
-        let v_flagged = br_bool br in
-        let v_origins =
-          List.init (br_count br "origin") (fun _ -> br_string br)
-        in
+    List.init (R.count r "verdict") (fun _ ->
+        let v_kind = br_string r in
+        let v_flagged = R.bool r in
+        let v_origins = List.init (R.count r "origin") (fun _ -> br_string r) in
         { Engine.v_kind; v_flagged; v_origins })
   in
-  let taint_ops = br_varint br in
-  let untaint_ops = br_varint br in
-  let lookups = br_varint br in
-  let tainted_loads = br_varint br in
-  let max_tainted_bytes = br_varint br in
-  let max_ranges = br_varint br in
-  let events = br_varint br in
-  let p_last_time = br_svarint br in
+  let taint_ops = R.varint r in
+  let untaint_ops = R.varint r in
+  let lookups = R.varint r in
+  let tainted_loads = R.varint r in
+  let max_tainted_bytes = R.varint r in
+  let max_ranges = R.varint r in
+  let events = R.varint r in
+  let p_last_time = R.svarint r in
   let p_windows =
-    List.init (br_count br "window") (fun _ ->
-        let pid = br_varint br in
-        let ltlt = br_svarint br in
-        let nt_used = br_varint br in
+    List.init (R.count r "window") (fun _ ->
+        let pid = R.varint r in
+        let ltlt = R.svarint r in
+        let nt_used = R.varint r in
         (pid, ltlt, nt_used))
   in
   let p_store =
-    List.init (br_count br "store pid") (fun _ ->
-        let pid = br_varint br in
-        (pid, br_ranges br))
+    List.init (R.count r "store pid") (fun _ ->
+        let pid = R.varint r in
+        (pid, br_ranges r))
   in
-  let p_prov = if br_bool br then Some (read_prov br) else None in
+  let p_prov = if R.bool r then Some (read_prov r) else None in
   {
     Engine.tp_pid;
     tp_name;
@@ -447,100 +365,75 @@ let read_tenant br : Engine.tenant_persisted =
       };
   }
 
-let open_reader ic =
-  let mlen = String.length magic in
-  (match really_input_string ic mlen with
-  | s when String.equal s magic -> ()
-  | _ -> fail_record 0 "bad magic"
-  | exception End_of_file -> fail_record 0 "bad magic (truncated)");
-  (match input_char ic with
-  | v when v = version -> ()
-  | v ->
-      fail_record 0
-        (Printf.sprintf "unsupported snapshot version %C (want %C)" v version)
-  | exception End_of_file -> fail_record 0 "bad magic (truncated)");
-  { rd = Wire.Reader.create ic; record = 0; pos = 0; limit = 0 }
-
-(* One record per pull; [None] only on EOF exactly at a record
-   boundary.  Anything else — truncation, unknown tags, trailing bytes
-   — fails with the record number, after every preceding record was
-   already delivered. *)
-let next br =
-  let rd = br.rd in
-  match Wire.Reader.varint ~first_eof_ok:true (fail_record (br.record + 1)) rd
-  with
-  | exception End_of_file -> None
-  | len ->
-      br.record <- br.record + 1;
-      let fail msg = br_fail br msg in
-      if len <= 0 then fail "empty record";
-      if len > max_record_payload then fail "implausible record length";
-      if not (Wire.Reader.has rd len) then
-        fail (Printf.sprintf "truncated record (%d payload bytes)" len);
-      br.pos <- rd.Wire.Reader.lo + 1;
-      br.limit <- rd.Wire.Reader.lo + len;
-      let tag = Char.code (Bytes.unsafe_get rd.Wire.Reader.buf rd.Wire.Reader.lo) in
-      rd.Wire.Reader.lo <- rd.Wire.Reader.lo + len;
-      let record =
-        if tag = tag_manifest then R_manifest (read_manifest br)
-        else if tag = tag_source then R_source (read_source br)
-        else if tag = tag_tenant then R_tenant (read_tenant br)
-        else fail (Printf.sprintf "unknown record tag %d" tag)
-      in
-      if br.pos <> br.limit then fail "trailing bytes in record";
-      Some record
-
-let iter path f =
+let with_reader path f =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
-      let br = open_reader ic in
-      let rec go () =
-        match next br with
-        | None -> ()
-        | Some r ->
-            f r;
-            go ()
+      let r = R.create ~format:"Snapshot" ~magic ic in
+      match R.header_byte r with
+      | v when v = Char.code version -> f r
+      | -1 -> R.fail r "bad magic (truncated)"
+      | v ->
+          R.fail r
+            (Printf.sprintf "unsupported snapshot version %C (want %C)"
+               (Char.chr v) version))
+
+(* One record per pull; [None] only on EOF exactly at a record
+   boundary.  Anything else fails with the record number, after every
+   preceding record was already delivered. *)
+let next r =
+  match R.next r with
+  | -1 -> None
+  | tag ->
+      let record =
+        if tag = tag_manifest then R_manifest (read_manifest r)
+        else if tag = tag_source then R_source (read_source r)
+        else if tag = tag_tenant then R_tenant (read_tenant r)
+        else R.fail r (Printf.sprintf "unknown record tag %d" tag)
       in
-      go ())
+      R.finish r;
+      Some record
+
+let rec fold r f acc =
+  match next r with None -> acc | Some x -> fold r f (f acc x)
+
+let iter path f = with_reader path (fun r -> fold r (fun () -> f) ())
 
 let load path =
-  let manifest = ref None in
-  let sources = ref [] in
-  let tenants = ref [] in
-  let records = ref 0 in
-  iter path (fun r ->
-      incr records;
-      match r with
-      | R_manifest m ->
-          if !records <> 1 then
-            fail_record !records "manifest must be the first record";
-          manifest := Some m
-      | R_source se ->
-          if !manifest = None then
-            fail_record !records "source record before manifest";
-          sources := se :: !sources
-      | R_tenant tp ->
-          if !manifest = None then
-            fail_record !records "tenant record before manifest";
-          tenants := tp :: !tenants);
-  match !manifest with
-  | None -> fail_record 0 "empty snapshot (no manifest)"
-  | Some m ->
-      let sources = List.rev !sources in
-      let tenants = List.rev !tenants in
-      (* Truncation at a record boundary reads as clean EOF; the
-         manifest counts catch it. *)
-      if List.length sources <> m.m_sources then
-        fail_record !records
-          (Printf.sprintf "truncated snapshot: expected %d source records, got %d"
-             m.m_sources (List.length sources));
-      if List.length tenants <> m.m_tenants then
-        fail_record !records
-          (Printf.sprintf "truncated snapshot: expected %d tenant records, got %d"
-             m.m_tenants (List.length tenants));
-      { manifest = m; sources; tenants }
+  with_reader path (fun r ->
+      let manifest, sources, tenants =
+        fold r
+          (fun (manifest, sources, tenants) -> function
+            | R_manifest m ->
+                (* A source or tenant first has already failed below. *)
+                if manifest <> None then
+                  R.fail r "manifest must be the first record";
+                (Some m, sources, tenants)
+            | R_source se ->
+                if manifest = None then R.fail r "source record before manifest";
+                (manifest, se :: sources, tenants)
+            | R_tenant tp ->
+                if manifest = None then R.fail r "tenant record before manifest";
+                (manifest, sources, tp :: tenants))
+          (None, [], [])
+      in
+      match manifest with
+      | None -> R.fail r "empty snapshot (no manifest)"
+      | Some m ->
+          let sources = List.rev sources and tenants = List.rev tenants in
+          (* Truncation at a record boundary reads as clean EOF; the
+             manifest counts catch it. *)
+          let check what want got =
+            if got <> want then
+              R.fail r
+                (Printf.sprintf
+                   "truncated snapshot: expected %d %s records, got %d" want
+                   what got)
+          in
+          check "source" m.m_sources (List.length sources);
+          check "tenant" m.m_tenants (List.length tenants);
+          { manifest = m; sources; tenants })
 
 (* --- engine glue (engine idle) ------------------------------------------ *)
 

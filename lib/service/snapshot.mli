@@ -10,8 +10,8 @@
     and the complete tracker stack — canonical store intervals,
     windows, stats and peaks, provenance origin sets).
 
-    The coding is the same varint/zigzag layer as [Trace_io]'s binary
-    trace format ({!Pift_util.Wire}), with the same defensive
+    The framing and field coding are {!Pift_util.Wire}'s, shared with
+    [Trace_io]'s binary trace format, and so is the defensive
     discipline: length-prefixed records, capped payloads and varints,
     and every corrupt byte surfacing as a positioned
     [Failure "Snapshot: record N: ..."] — never a bare exception.

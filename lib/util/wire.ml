@@ -1,11 +1,12 @@
-(* Low-level binary coding shared by the trace serialisation
+(* The record-stream codec shared by the trace serialisation
    (Pift_eval.Trace_io, magic PIFTBIN1) and the service snapshot format
-   (Pift_service.Snapshot, magic PIFTSNAP1): LEB128 varints, zigzag
-   signed coding, and a chunked channel reader that decodes straight
-   out of a refill buffer.  Both formats are length-prefixed record
-   streams, so they share the same failure discipline: every decode
-   primitive takes a [fail] continuation that raises with the caller's
-   record position. *)
+   (Pift_service.Snapshot, magic PIFTSNAP1).  Framing, field coding and
+   every framing error live here; the formats only name their tags and
+   fields.  Corrupt input must not make a reader allocate or loop
+   without bound: payloads are capped, varints are capped at 9 bytes
+   (63 value bits) and counts are checked against the payload. *)
+
+let max_record_payload = 1 lsl 24
 
 let add_varint buf v =
   let v = ref v in
@@ -18,25 +19,58 @@ let add_varint buf v =
 let zigzag v = (v lsl 1) lxor (v asr (Sys.int_size - 1))
 let unzigzag z = (z lsr 1) lxor (-(z land 1))
 let add_svarint buf v = add_varint buf (zigzag v)
+let add_bool buf b = Buffer.add_char buf (if b then '\001' else '\000')
 
 let add_string buf s =
   add_varint buf (String.length s);
   Buffer.add_string buf s
 
+let add_range buf base r =
+  add_svarint buf (Range.lo r - base);
+  add_varint buf (Range.length r)
+
+module Writer = struct
+  type t = { oc : out_channel; buf : Buffer.t; prefix : Buffer.t }
+
+  let create oc magic =
+    output_string oc magic;
+    { oc; buf = Buffer.create 256; prefix = Buffer.create 8 }
+
+  let buf w = w.buf
+
+  let header w =
+    Buffer.output_buffer w.oc w.buf;
+    Buffer.clear w.buf
+
+  let record w =
+    Buffer.clear w.prefix;
+    add_varint w.prefix (Buffer.length w.buf);
+    Buffer.output_buffer w.oc w.prefix;
+    header w
+end
+
 module Reader = struct
-  (* Chunked channel reader: records average tens of bytes, so decoding
-     straight from a large refill buffer (grown in place for oversized
-     records) beats per-field channel calls by a wide margin. *)
+  (* Records average tens of bytes, so decoding straight from a large
+     refill buffer (grown in place for oversized records) beats
+     per-field channel calls by a wide margin.  [next] pins a whole
+     payload in [buf] between [pos] and [limit]; the field cursor reads
+     it in place.  The decoders are top-level functions and failures
+     format their message only when they fire, so decoding a record
+     allocates nothing but what the format builds from it. *)
   type t = {
     ic : in_channel;
+    format : string;
     mutable buf : Bytes.t;
     mutable lo : int;  (* next unread byte *)
     mutable hi : int;  (* end of valid bytes *)
     mutable eof : bool;
+    mutable record : int;  (* record being decoded, 0 in the header *)
+    mutable pos : int;  (* next payload byte *)
+    mutable limit : int;  (* end of the current payload *)
   }
 
-  let create ic =
-    { ic; buf = Bytes.create 65536; lo = 0; hi = 0; eof = false }
+  let fail r msg =
+    failwith (Printf.sprintf "%s: record %d: %s" r.format r.record msg)
 
   let refill r =
     if not r.eof then begin
@@ -48,8 +82,7 @@ module Reader = struct
       if n = 0 then r.eof <- true else r.hi <- r.hi + n
     end
 
-  (* Whether [n] contiguous bytes can be buffered (growing the buffer
-     when a record is larger than a chunk). *)
+  (* Whether [n] contiguous bytes can be buffered. *)
   let has r n =
     if Bytes.length r.buf < n then begin
       let grown = Bytes.create (max n (2 * Bytes.length r.buf)) in
@@ -63,7 +96,31 @@ module Reader = struct
     done;
     r.hi - r.lo >= n
 
-  let byte r =
+  let take r n =
+    let s = Bytes.sub_string r.buf r.lo n in
+    r.lo <- r.lo + n;
+    s
+
+  let create ~format ~magic ic =
+    let r =
+      {
+        ic;
+        format;
+        buf = Bytes.create 65536;
+        lo = 0;
+        hi = 0;
+        eof = false;
+        record = 0;
+        pos = 0;
+        limit = 0;
+      }
+    in
+    let n = String.length magic in
+    if not (has r n) then fail r "bad magic (truncated)";
+    if not (String.equal (take r n) magic) then fail r "bad magic";
+    r
+
+  let header_byte r =
     if r.lo >= r.hi then refill r;
     if r.lo >= r.hi then -1
     else begin
@@ -72,24 +129,104 @@ module Reader = struct
       b
     end
 
-  (* Continuation bytes of a varint whose low [shift] bits are [acc].
-     Top-level, like [varint] below, so decoding allocates nothing. *)
-  let rec varint_rest fail r shift acc =
-    match byte r with
-    | -1 -> fail "truncated varint"
+  (* Continuation bytes of a stream varint whose low [shift] bits are
+     [acc]. *)
+  let rec stream_varint_rest r shift acc =
+    match header_byte r with
+    | -1 -> fail r "truncated varint"
     | b ->
-        if shift > 56 && b > 0x7f then fail "varint overflow"
+        if shift > 56 && b > 0x7f then fail r "varint overflow"
         else begin
           let acc = acc lor ((b land 0x7f) lsl shift) in
-          if b < 0x80 then acc else varint_rest fail r (shift + 7) acc
+          if b < 0x80 then acc else stream_varint_rest r (shift + 7) acc
         end
 
-  (* Header fields and record length prefixes.  [first_eof_ok]
-     distinguishes the clean end of the stream (EOF where a record
-     would start) from truncation inside a varint.  Varints are capped
-     at 9 bytes (63 value bits) so corrupt input cannot loop. *)
-  let varint ?(first_eof_ok = false) fail r =
-    match byte r with
-    | -1 -> if first_eof_ok then raise End_of_file else fail "truncated varint"
-    | b -> if b < 0x80 then b else varint_rest fail r 7 (b land 0x7f)
+  let header_varint r =
+    match header_byte r with
+    | -1 -> fail r "truncated varint"
+    | b -> if b < 0x80 then b else stream_varint_rest r 7 (b land 0x7f)
+
+  let header_string r what =
+    let n = header_varint r in
+    if n < 0 || n > max_record_payload then
+      fail r (Printf.sprintf "implausible %s length" what);
+    if not (has r n) then fail r "truncated header";
+    take r n
+
+  (* A record's payload length.  Almost every record is shorter than
+     128 bytes, so a one-byte prefix that is already buffered is read in
+     place.  Raises [End_of_file] when the stream ends cleanly where a
+     record would start. *)
+  let length r =
+    let lo = r.lo in
+    let b = if lo < r.hi then Char.code (Bytes.unsafe_get r.buf lo) else 0x80 in
+    if b < 0x80 then begin
+      r.lo <- lo + 1;
+      b
+    end
+    else
+      match header_byte r with
+      | -1 -> raise End_of_file
+      | b -> if b < 0x80 then b else stream_varint_rest r 7 (b land 0x7f)
+
+  let next r =
+    r.record <- r.record + 1;
+    match length r with
+    | exception End_of_file ->
+        r.record <- r.record - 1;
+        -1
+    | len ->
+        if len <= 0 then fail r "empty record";
+        if len > max_record_payload then fail r "implausible record length";
+        if not (has r len) then
+          fail r (Printf.sprintf "truncated record (%d payload bytes)" len);
+        r.pos <- r.lo + 1;
+        r.limit <- r.lo + len;
+        let tag = Char.code (Bytes.unsafe_get r.buf r.lo) in
+        r.lo <- r.lo + len;
+        tag
+
+  let finish r = if r.pos <> r.limit then fail r "trailing bytes in record"
+
+  let rec varint_rest r shift acc =
+    if r.pos >= r.limit then fail r "truncated record payload"
+    else begin
+      let b = Char.code (Bytes.unsafe_get r.buf r.pos) in
+      r.pos <- r.pos + 1;
+      if shift > 56 && b > 0x7f then fail r "varint overflow"
+      else begin
+        let acc = acc lor ((b land 0x7f) lsl shift) in
+        if b < 0x80 then acc else varint_rest r (shift + 7) acc
+      end
+    end
+
+  let varint r = varint_rest r 0 0
+  let svarint r = unzigzag (varint r)
+
+  let bool r =
+    if r.pos >= r.limit then fail r "truncated record payload";
+    let b = Char.code (Bytes.unsafe_get r.buf r.pos) in
+    r.pos <- r.pos + 1;
+    match b with
+    | 0 -> false
+    | 1 -> true
+    | b -> fail r (Printf.sprintf "bad boolean byte %d" b)
+
+  let string r what =
+    let n = varint r in
+    if n < 0 || r.pos + n > r.limit then fail r ("truncated " ^ what);
+    let s = Bytes.sub_string r.buf r.pos n in
+    r.pos <- r.pos + n;
+    s
+
+  let count r what =
+    let n = varint r in
+    if n < 0 || n > r.limit - r.pos + 1 then
+      fail r (Printf.sprintf "implausible %s count" what);
+    n
+
+  let range r base =
+    let lo = base + svarint r in
+    let len = varint r in
+    try Range.of_len lo len with Invalid_argument msg -> fail r msg
 end
