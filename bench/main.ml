@@ -354,6 +354,26 @@ let write_trace_bench () =
      overhead)\n"
     (rate off_s) (rate on_s) overhead_pct
 
+(* Where a BENCH file was measured: cores, OCaml version and the source
+   revision ("-dirty" when the tree had uncommitted changes). *)
+let machine_header () =
+  let module Json = Pift_obs.Json in
+  let git_rev =
+    match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
+    | ic -> (
+        let line = try input_line ic with End_of_file -> "" in
+        match Unix.close_process_in ic with
+        | Unix.WEXITED 0 when line <> "" -> line
+        | _ -> "unknown")
+    | exception Unix.Unix_error _ -> "unknown"
+  in
+  Json.Obj
+    [
+      ("cores", Json.Int (Pift_par.Pool.default_jobs ()));
+      ("ocaml_version", Json.String Sys.ocaml_version);
+      ("git_rev", Json.String git_rev);
+    ]
+
 (* The production taint store ([Flat]) on three loads: the tracker
    replay over the reference event stream (best-of-5, the hot
    single-replay path), a fragmented single-set workload (its known
@@ -428,6 +448,7 @@ let write_store_bench () =
     Json.Obj
       [
         ("bench", Json.String "taint-store-backends");
+        ("machine", machine_header ());
         ("events", Json.Int n);
         ("rounds", Json.Int rounds);
         ("flat_replay_seconds", Json.Float flat_replay_s);
@@ -452,26 +473,6 @@ let write_store_bench () =
     (if identical then "cells identical to the functional reference"
      else "CELLS DIVERGED");
   if not identical then exit 1
-
-(* Where a BENCH file was measured: cores, OCaml version and the source
-   revision ("-dirty" when the tree had uncommitted changes). *)
-let machine_header () =
-  let module Json = Pift_obs.Json in
-  let git_rev =
-    match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
-    | ic -> (
-        let line = try input_line ic with End_of_file -> "" in
-        match Unix.close_process_in ic with
-        | Unix.WEXITED 0 when line <> "" -> line
-        | _ -> "unknown")
-    | exception Unix.Unix_error _ -> "unknown"
-  in
-  Json.Obj
-    [
-      ("cores", Json.Int (Pift_par.Pool.default_jobs ()));
-      ("ocaml_version", Json.String Sys.ocaml_version);
-      ("git_rev", Json.String git_rev);
-    ]
 
 (* Text vs binary trace format on the reference recording: file size,
    load alone, and load+replay throughput, best-of-5 each.  The binary
@@ -624,6 +625,7 @@ let write_telemetry_bench () =
     Json.Obj
       [
         ("bench", Json.String "tracker-telemetry-profiler");
+        ("machine", machine_header ());
         ("events", Json.Int n);
         ("rounds", Json.Int rounds);
         ("off_seconds", Json.Float off_s);
@@ -823,11 +825,13 @@ let write_service_bench () =
         (seconds, identical))
   in
   let decode_only () =
+    let on_event ~kind:_ ~seq:_ ~k:_ ~pid:_ ~lo:_ ~hi:_ = ()
+    and on_marker _ _ = () in
     let (), seconds =
       time (fun () ->
           for _ = 1 to tenants do
             Trace_io.with_reader path (fun r ->
-                while Trace_io.read_item r <> None do
+                while Trace_io.pull r ~on_event ~on_marker do
                   ()
                 done)
           done)

@@ -112,49 +112,65 @@ let hit_labels t ~pid r =
           if s.Store_backend.s_overlaps r then Sset.add label acc else acc)
         tbl Sset.empty
 
-let observe t e =
-  match e.Event.access with
-  | Event.Other -> ()
+(* The sidecar's Algorithm 1 on one event given as ints, like
+   {!Tracker.observe_fields}; ranges are built only where a set needs
+   one. *)
+let observe_fields t ~kind ~seq ~k ~pid ~lo ~hi =
+  if kind = Event.kind_load then begin
+    let r = Range.make lo hi in
+    let labels = hit_labels t ~pid r in
+    if not (Sset.is_empty labels) then begin
+      let w = window t pid in
+      w.ltlt <- k;
+      w.nt_used <- 0;
+      w.labels <- labels;
+      w.opener_seq <- seq;
+      w.opener_range <- Some r
+    end
+  end
+  else if kind = Event.kind_store then begin
+    let w = window t pid in
+    if k <= w.ltlt + t.policy.Policy.ni && w.nt_used < t.policy.Policy.nt
+    then begin
+      let r = Range.make lo hi in
+      Sset.iter
+        (fun label -> (set_for t ~pid ~label).Store_backend.s_add r)
+        w.labels;
+      w.nt_used <- w.nt_used + 1;
+      match (t.on_propagate, w.opener_range) with
+      | Some f, Some loaded when not (Sset.is_empty w.labels) ->
+          f
+            {
+              p_pid = pid;
+              p_store_seq = seq;
+              p_stored = r;
+              p_load_seq = w.opener_seq;
+              p_loaded = loaded;
+              p_labels = Sset.elements w.labels;
+            }
+      | _ -> ()
+    end
+    else if t.policy.Policy.untaint then
+      match Hashtbl.find_opt t.state pid with
+      | None -> ()
+      | Some tbl ->
+          let r = Range.make lo hi in
+          Hashtbl.iter
+            (fun _ s ->
+              t.probes <- t.probes + 1;
+              if s.Store_backend.s_overlaps r then s.Store_backend.s_remove r)
+            tbl
+  end
+
+let observe t (e : Event.t) =
+  match e.access with
   | Event.Load r ->
-      let labels = hit_labels t ~pid:e.pid r in
-      if not (Sset.is_empty labels) then begin
-        let w = window t e.pid in
-        w.ltlt <- e.k;
-        w.nt_used <- 0;
-        w.labels <- labels;
-        w.opener_seq <- e.seq;
-        w.opener_range <- Some r
-      end
+      observe_fields t ~kind:Event.kind_load ~seq:e.seq ~k:e.k ~pid:e.pid
+        ~lo:(Range.lo r) ~hi:(Range.hi r)
   | Event.Store r ->
-      let w = window t e.pid in
-      if e.k <= w.ltlt + t.policy.Policy.ni && w.nt_used < t.policy.Policy.nt
-      then begin
-        Sset.iter
-          (fun label -> (set_for t ~pid:e.pid ~label).Store_backend.s_add r)
-          w.labels;
-        w.nt_used <- w.nt_used + 1;
-        match (t.on_propagate, w.opener_range) with
-        | Some f, Some loaded when not (Sset.is_empty w.labels) ->
-            f
-              {
-                p_pid = e.pid;
-                p_store_seq = e.seq;
-                p_stored = r;
-                p_load_seq = w.opener_seq;
-                p_loaded = loaded;
-                p_labels = Sset.elements w.labels;
-              }
-        | _ -> ()
-      end
-      else if t.policy.Policy.untaint then
-        match Hashtbl.find_opt t.state e.pid with
-        | None -> ()
-        | Some tbl ->
-            Hashtbl.iter
-              (fun _ s ->
-                t.probes <- t.probes + 1;
-                if s.Store_backend.s_overlaps r then s.Store_backend.s_remove r)
-              tbl
+      observe_fields t ~kind:Event.kind_store ~seq:e.seq ~k:e.k ~pid:e.pid
+        ~lo:(Range.lo r) ~hi:(Range.hi r)
+  | Event.Other -> ()
 
 let labels_of t ~pid r = Sset.elements (hit_labels t ~pid r)
 let is_tainted t ~pid r = not (Sset.is_empty (hit_labels t ~pid r))

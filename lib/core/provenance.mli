@@ -52,7 +52,13 @@ val probes : t -> int
     index: with N cold pids resident, probing one pid must cost that
     pid's label count, not the table size. *)
 
+val observe_fields :
+  t -> kind:int -> seq:int -> k:int -> pid:int -> lo:int -> hi:int -> unit
+(** One event as ints (see {!Pift_trace.Event.kind_load}): the
+    sidecar's body, which {!Tracker.observe_fields} calls. *)
+
 val observe : t -> Pift_trace.Event.t -> unit
+(** {!observe_fields} on the event's fields. *)
 
 val labels_of : t -> pid:int -> Pift_util.Range.t -> string list
 (** Labels whose taint overlaps the range, sorted. *)

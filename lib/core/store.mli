@@ -1,10 +1,11 @@
 (** Per-process taint state for the tracker.
 
     Algorithm 1 is defined over an abstract tainted-range state R; the
-    software model backs it with one {!Store_backend.set} per process
-    (exact, unbounded), while the hardware model backs it with the
-    {!Storage} range cache (bounded, lossy under the drop policy).  The
-    tracker is written once against this record of operations.
+    software model backs it with one interval set per process (exact,
+    unbounded), while the hardware model backs it with the {!Storage}
+    range cache (bounded, lossy under the drop policy).  The tracker is
+    written once against this record of operations, its only store
+    interface.
 
     The production store is [Flat]: a sorted interval array per
     process.  [Functional] and [Bytemap] exist as references for the
@@ -54,11 +55,15 @@ val create : ?backend:backend -> unit -> t
     trace-driven evaluation uses.  [backend] defaults to [Flat]; the
     others are test references.
 
+    The [Flat] store calls one {!Store_flat} per pid directly.  The
+    last pid it used, with its set (or the fact that it has none), is
+    cached, so a run of ops on one process probes no table; the sets
+    share running size totals, so no op reads sizes before and after.
+
     Read paths ([overlaps], [ranges]) are pure: querying a PID the
     store has never seen allocates nothing and leaves [range_count] /
     memory untouched.  [tainted_bytes] and [range_count] are O(1) —
-    maintained per-op from the touched set's own counters, never by
-    folding over every process. *)
+    maintained per-op, never by folding over every process. *)
 
 val of_storage : Storage.t -> t
 (** State held in a hardware range cache; behaviour (and possible false

@@ -4,24 +4,36 @@ module Range = Pift_util.Range
    and non-adjacent (so both [lo] and [hi] are strictly increasing and
    the set is the canonical list of maximal closed ranges — the same
    canonical form {!Range_set} keeps).  [bytes] mirrors the entries so
-   [total_bytes] is O(1).  Growth doubles the parallel arrays; removal
-   splices in place, so there are never tombstones to skip on lookup. *)
+   [total_bytes] is O(1), and every change to [len] or [bytes] is also
+   applied to [sum], which several sets may share.  Growth doubles the
+   parallel arrays; removal splices in place, so there are never
+   tombstones to skip on lookup. *)
+type totals = { mutable sum_bytes : int; mutable sum_ranges : int }
+
 type t = {
   mutable lo : int array;
   mutable hi : int array;
   mutable len : int;
   mutable bytes : int;
+  sum : totals;
 }
 
 let initial_capacity = 8
+let totals () = { sum_bytes = 0; sum_ranges = 0 }
 
-let create () =
+let create_in sum =
   {
     lo = Array.make initial_capacity 0;
     hi = Array.make initial_capacity 0;
     len = 0;
     bytes = 0;
+    sum;
   }
+
+let create () = create_in (totals ())
+
+let bytes_of_totals s = s.sum_bytes
+let ranges_of_totals s = s.sum_ranges
 
 let cardinal t = t.len
 let total_bytes t = t.bytes
@@ -63,13 +75,19 @@ let open_gap t i n =
   ensure_capacity t (t.len + n);
   Array.blit t.lo i t.lo (i + n) (t.len - i);
   Array.blit t.hi i t.hi (i + n) (t.len - i);
-  t.len <- t.len + n
+  t.len <- t.len + n;
+  t.sum.sum_ranges <- t.sum.sum_ranges + n
 
 (* Close a gap of [n] entries at index [i] (shifting the tail left). *)
 let close_gap t i n =
   Array.blit t.lo (i + n) t.lo i (t.len - i - n);
   Array.blit t.hi (i + n) t.hi i (t.len - i - n);
-  t.len <- t.len - n
+  t.len <- t.len - n;
+  t.sum.sum_ranges <- t.sum.sum_ranges - n
+
+let add_bytes t d =
+  t.bytes <- t.bytes + d;
+  t.sum.sum_bytes <- t.sum.sum_bytes + d
 
 let entry_bytes t i = t.hi.(i) - t.lo.(i) + 1
 
@@ -85,7 +103,7 @@ let add t r =
     open_gap t i 1;
     t.lo.(i) <- l;
     t.hi.(i) <- h;
-    t.bytes <- t.bytes + (h - l + 1)
+    add_bytes t (h - l + 1)
   end
   else begin
     let nl = min l t.lo.(i) and nh = max h t.hi.(j) in
@@ -96,7 +114,7 @@ let add t r =
     t.lo.(i) <- nl;
     t.hi.(i) <- nh;
     if j > i then close_gap t (i + 1) (j - i);
-    t.bytes <- t.bytes - !removed + (nh - nl + 1)
+    add_bytes t (nh - nl + 1 - !removed)
   end
 
 let remove t r =
@@ -131,12 +149,19 @@ let remove t r =
     let kept =
       List.fold_left (fun acc (pl, ph) -> acc + (ph - pl + 1)) 0 pieces
     in
-    t.bytes <- t.bytes - !removed + kept
+    add_bytes t (kept - !removed)
   end
+
+let clear t =
+  t.sum.sum_ranges <- t.sum.sum_ranges - t.len;
+  t.len <- 0;
+  add_bytes t (-t.bytes)
 
 let mem_overlap t r =
   (* Last entry starting at or before the query's end; it overlaps iff
      it ends at or after the query's start. *)
+  t.len > 0
+  &&
   let j = first_lo_gt t (Range.hi r) - 1 in
   j >= 0 && t.hi.(j) >= Range.lo r
 

@@ -11,7 +11,18 @@
 
 type t
 
+type totals
+(** Running size totals over every set created with them: the store of
+    many processes reads its O(1) [tainted_bytes]/[range_count] here. *)
+
+val totals : unit -> totals
+val bytes_of_totals : totals -> int
+val ranges_of_totals : totals -> int
+
 val create : unit -> t
+
+val create_in : totals -> t
+(** An empty set whose every size change is also added to [totals]. *)
 
 val add : t -> Pift_util.Range.t -> unit
 (** Insert, merging with every overlapping-or-adjacent entry. O(log n)
@@ -19,6 +30,9 @@ val add : t -> Pift_util.Range.t -> unit
 
 val remove : t -> Pift_util.Range.t -> unit
 (** Untaint, trimming or splitting partially covered entries in place. *)
+
+val clear : t -> unit
+(** Empty the set, taking its size out of its totals. *)
 
 val mem_overlap : t -> Pift_util.Range.t -> bool
 (** O(log n) binary search. *)

@@ -1,6 +1,6 @@
 module Range = Pift_util.Range
-module Series = Pift_util.Series
 module Event = Pift_trace.Event
+
 type window = {
   mutable ltlt : int;
   mutable nt_used : int;
@@ -34,9 +34,14 @@ type t = {
   mutable store_adds : int;
   mutable store_removes : int;
   mutable store_merges : int;
-  mutable ranges_now : int;  (* range count at the last [update_peaks] *)
-  bytes_series : Series.t;
-  ops_series : Series.t;
+  (* Store size at the last [update_peaks], which runs after every
+     store mutation the tracker makes. *)
+  mutable bytes_now : int;
+  mutable ranges_now : int;
+  (* [windows] entry of the last pid looked up, while [win_valid]. *)
+  mutable win_valid : bool;
+  mutable win_pid : int;
+  mutable win : window;
   flight : Pift_obs.Flight.t option;
   prov : Provenance.t option;
   telemetry : Pift_obs.Telemetry.t option;
@@ -46,6 +51,10 @@ type t = {
 
 (* LTLT <- -inf (Algorithm 1 line 8); any value with ltlt + ni < 1 works. *)
 let minus_infinity = min_int / 2
+
+(* The window cache's placeholder, never read: the cache starts
+   invalid. *)
+let no_window = { ltlt = minus_infinity; nt_used = 0; opens = 0 }
 
 let create ?(policy = Policy.default) ?(store = Store.create ()) ?flight
     ?prov ?telemetry ?profile () =
@@ -69,10 +78,12 @@ let create ?(policy = Policy.default) ?(store = Store.create ()) ?flight
       store_adds = 0;
       store_removes = 0;
       store_merges = 0;
+      bytes_now = store.Store.tainted_bytes ();
       ranges_now = store.Store.range_count ();
+      win_valid = false;
+      win_pid = 0;
+      win = no_window;
       last_window_used = 0;
-      bytes_series = Series.create ~name:"tainted bytes" ();
-      ops_series = Series.create ~name:"taint+untaint ops" ();
     }
   in
   (* Telemetry sources are closures over this tracker's live state; they
@@ -93,12 +104,21 @@ let create ?(policy = Policy.default) ?(store = Store.create ()) ?flight
 let policy t = t.policy
 
 let window t pid =
-  match Hashtbl.find_opt t.windows pid with
-  | Some w -> w
-  | None ->
-      let w = { ltlt = minus_infinity; nt_used = 0; opens = 0 } in
-      Hashtbl.add t.windows pid w;
-      w
+  if t.win_valid && pid = t.win_pid then t.win
+  else begin
+    let w =
+      match Hashtbl.find t.windows pid with
+      | w -> w
+      | exception Not_found ->
+          let w = { ltlt = minus_infinity; nt_used = 0; opens = 0 } in
+          Hashtbl.add t.windows pid w;
+          w
+    in
+    t.win_valid <- true;
+    t.win_pid <- pid;
+    t.win <- w;
+    w
+  end
 
 (* Store operations bracketed as "store" profiler regions, so folded
    stacks separate interval-set cost from the tracker's own window
@@ -135,22 +155,19 @@ let st_remove t ~pid r =
    the previous mutation, tells whether that add merged into existing
    ranges — without a second count read, which costs a full scan on a
    {!Store.of_storage} store. *)
-let update_peaks ?(added = false) t ~time =
+let update_peaks ?(added = false) t =
   let bytes = t.store.Store.tainted_bytes () in
   let count = t.store.Store.range_count () in
   if added && count <= t.ranges_now then t.store_merges <- t.store_merges + 1;
+  t.bytes_now <- bytes;
   t.ranges_now <- count;
   if bytes > t.max_tainted_bytes then t.max_tainted_bytes <- bytes;
   if count > t.max_ranges then t.max_ranges <- count;
-  (match t.flight with
+  match t.flight with
   | None -> ()
   | Some f ->
       Pift_obs.Flight.sample f "tainted_bytes" (float_of_int bytes);
-      Pift_obs.Flight.sample f "ranges" (float_of_int count));
-  Series.record_if_changed t.bytes_series ~time ~value:bytes
-
-let record_op t ~time =
-  Series.record t.ops_series ~time ~value:(t.taint_ops + t.untaint_ops)
+      Pift_obs.Flight.sample f "ranges" (float_of_int count)
 
 let taint_source ?(kind = "source") t ~pid r =
   (match t.flight with
@@ -160,33 +177,34 @@ let taint_source ?(kind = "source") t ~pid r =
   | None -> ()
   | Some p -> Provenance.taint_source p ~pid ~label:kind r);
   st_add t ~pid r;
-  update_peaks ~added:true t ~time:t.last_time
+  update_peaks ~added:true t
 
 (* Like [taint_source], a Manager-driven untaint must land in the
-   observability state: without the [update_peaks] call Fig. 15's
-   bytes-over-time curve missed the dip when a source range is
-   untainted. *)
+   observability state: without the [update_peaks] call the live
+   occupancy (and Fig. 15's bytes-over-time curve sampled from it)
+   missed the dip when a source range is untainted. *)
 let untaint_range t ~pid r =
   (match t.prov with
   | None -> ()
   | Some p -> Provenance.untaint_range p ~pid r);
   st_remove t ~pid r;
-  update_peaks t ~time:t.last_time
+  update_peaks t
 
 (* Tenant eviction for a long-lived tracker: the pid's window, taint
-   state and provenance sidecar state are all dropped, and the
-   observability state sees the dip (same reasoning as [untaint_range] —
-   the Fig. 15 series must not go stale). *)
+   state and provenance sidecar state are all dropped, and the live
+   occupancy sees the dip (same reasoning as [untaint_range]). *)
 let release_pid t ~pid =
   Hashtbl.remove t.windows pid;
+  if pid = t.win_pid then t.win_valid <- false;
   (match t.prov with
   | None -> ()
   | Some p -> Provenance.release_pid p ~pid);
   t.store.Store.release_pid ~pid;
-  update_peaks t ~time:t.last_time
+  update_peaks t
 
-let current_tainted_bytes t = t.store.Store.tainted_bytes ()
-let current_ranges t = t.store.Store.range_count ()
+let current_tainted_bytes t = t.bytes_now
+let current_ranges t = t.ranges_now
+let ops t = t.taint_ops + t.untaint_ops
 
 let origins_of t ~pid r =
   match t.prov with
@@ -201,67 +219,81 @@ let is_tainted t ~pid r =
   st_overlaps t ~pid r
 let tainted_ranges t ~pid = t.store.Store.ranges ~pid
 
-let observe_event t e =
+(* Algorithm 1 on one event given as ints — the only copy of its body.
+   A range is built only for the store call that needs it. *)
+let step t ~kind ~seq ~k ~pid ~lo ~hi =
   t.events <- t.events + 1;
   (* The provenance sidecar replays the same Algorithm 1 over per-label
      state; its union equals [t.store] at every step (see Provenance),
      so it never changes verdicts — only answers [origins_of]. *)
   (match t.prov with
   | None -> ()
-  | Some p -> Provenance.observe p e);
-  if e.Event.seq > t.last_time then t.last_time <- e.Event.seq;
-  match e.Event.access with
-  | Event.Other -> ()
-  | Event.Load r ->
-      (* Lines 10–15: a load overlapping R starts (over) the window. *)
-      t.lookups <- t.lookups + 1;
-      if st_overlaps t ~pid:e.pid r then begin
-        t.tainted_loads <- t.tainted_loads + 1;
-        let w = window t e.pid in
-        w.ltlt <- e.k;
-        w.nt_used <- 0;
-        w.opens <- w.opens + 1
-      end
-  | Event.Store r ->
-      (* Lines 16–23: taint inside the window, up to NT times; otherwise
-         untaint (if enabled). *)
-      let w = window t e.pid in
-      if e.k <= w.ltlt + t.policy.Policy.ni && w.nt_used < t.policy.Policy.nt
-      then begin
-        st_add t ~pid:e.pid r;
-        w.nt_used <- w.nt_used + 1;
-        t.last_window_used <- w.nt_used;
-        (match t.flight with
-        | None -> ()
-        | Some f ->
-            Pift_obs.Flight.sample f "window_used" (float_of_int w.nt_used));
-        t.taint_ops <- t.taint_ops + 1;
-        record_op t ~time:e.seq;
-        update_peaks ~added:true t ~time:e.seq
-      end
-      else if t.policy.Policy.untaint && st_overlaps t ~pid:e.pid r
-      then begin
-        st_remove t ~pid:e.pid r;
+  | Some p -> Provenance.observe_fields p ~kind ~seq ~k ~pid ~lo ~hi);
+  if seq > t.last_time then t.last_time <- seq;
+  if kind = Event.kind_load then begin
+    (* Lines 10–15: a load overlapping R starts (over) the window. *)
+    t.lookups <- t.lookups + 1;
+    if st_overlaps t ~pid (Range.make lo hi) then begin
+      t.tainted_loads <- t.tainted_loads + 1;
+      let w = window t pid in
+      w.ltlt <- k;
+      w.nt_used <- 0;
+      w.opens <- w.opens + 1
+    end
+  end
+  else if kind = Event.kind_store then begin
+    (* Lines 16–23: taint inside the window, up to NT times; otherwise
+       untaint (if enabled). *)
+    let w = window t pid in
+    if k <= w.ltlt + t.policy.Policy.ni && w.nt_used < t.policy.Policy.nt
+    then begin
+      st_add t ~pid (Range.make lo hi);
+      w.nt_used <- w.nt_used + 1;
+      t.last_window_used <- w.nt_used;
+      (match t.flight with
+      | None -> ()
+      | Some f ->
+          Pift_obs.Flight.sample f "window_used" (float_of_int w.nt_used));
+      t.taint_ops <- t.taint_ops + 1;
+      update_peaks ~added:true t
+    end
+    else if t.policy.Policy.untaint then begin
+      let r = Range.make lo hi in
+      if st_overlaps t ~pid r then begin
+        st_remove t ~pid r;
         t.untaint_ops <- t.untaint_ops + 1;
-        record_op t ~time:e.seq;
-        update_peaks t ~time:e.seq
+        update_peaks t
       end
+    end
+  end
 
 (* The event entry point: one telemetry bump per event (an increment
    and a compare when cadence is quiet), and the whole dispatch
    attributed to the "tracker" region when profiling — store calls
    nest "store" regions beneath it, so tracker self time is the window
    logic proper. *)
-let observe t e =
+let observe_fields t ~kind ~seq ~k ~pid ~lo ~hi =
   (match t.telemetry with
   | None -> ()
   | Some te -> Pift_obs.Telemetry.bump te);
   match t.profile with
-  | None -> observe_event t e
+  | None -> step t ~kind ~seq ~k ~pid ~lo ~hi
   | Some p ->
       Pift_obs.Profile.enter p "tracker";
-      observe_event t e;
+      step t ~kind ~seq ~k ~pid ~lo ~hi;
       Pift_obs.Profile.leave p
+
+let observe t (e : Event.t) =
+  match e.access with
+  | Event.Load r ->
+      observe_fields t ~kind:Event.kind_load ~seq:e.seq ~k:e.k ~pid:e.pid
+        ~lo:(Range.lo r) ~hi:(Range.hi r)
+  | Event.Store r ->
+      observe_fields t ~kind:Event.kind_store ~seq:e.seq ~k:e.k ~pid:e.pid
+        ~lo:(Range.lo r) ~hi:(Range.hi r)
+  | Event.Other ->
+      observe_fields t ~kind:Event.kind_other ~seq:e.seq ~k:e.k ~pid:e.pid
+        ~lo:0 ~hi:0
 
 let stats t =
   {
@@ -273,9 +305,6 @@ let stats t =
     max_ranges = t.max_ranges;
     events = t.events;
   }
-
-let tainted_bytes_series t = t.bytes_series
-let ops_series t = t.ops_series
 
 (* Window opens are reported per resident pid, in pid order. *)
 let export ~metrics t =
@@ -341,7 +370,7 @@ let persist t =
    Ranges go through the raw store [add] — not [taint_source] — so the
    provenance sidecar (restored from its own record) and the stats
    counters are not perturbed; one [update_peaks] at the end syncs the
-   Fig. 15 series to the restored occupancy.  Peaks are
+   live occupancy to the restored store.  Peaks are
    ≥ current occupancy by invariant, so restoring stats first keeps the
    persisted maxima. *)
 let restore t p =
@@ -353,6 +382,7 @@ let restore t p =
   t.max_ranges <- p.p_stats.max_ranges;
   t.events <- p.p_stats.events;
   t.last_time <- p.p_last_time;
+  t.win_valid <- false;
   List.iter
     (fun (pid, ltlt, nt_used) ->
       Hashtbl.replace t.windows pid { ltlt; nt_used; opens = 0 })
@@ -363,4 +393,4 @@ let restore t p =
   (match (t.prov, p.p_prov) with
   | Some prov, Some pp -> Provenance.restore prov pp
   | _ -> ());
-  update_peaks t ~time:t.last_time
+  update_peaks t

@@ -57,16 +57,24 @@ val untaint_range : t -> pid:int -> Pift_util.Range.t -> unit
 
 val release_pid : t -> pid:int -> unit
 (** Tenant eviction: drop the pid's window, its store state and (when
-    present) its provenance state, then refresh the Fig. 15 series so
-    occupancy returns to the remaining tenants' baseline.  A released pid starts clean if seen again.  Peak stats
-    ([max_tainted_bytes]/[max_ranges]) keep their high-water marks. *)
+    present) its provenance state, so occupancy returns to the
+    remaining tenants' baseline.  A released pid starts clean if seen
+    again.  Peak stats ([max_tainted_bytes]/[max_ranges]) keep their
+    high-water marks. *)
 
 val current_tainted_bytes : t -> int
-(** Live store occupancy in bytes (not the peak) — the engine's
-    per-shard occupancy gauge reads this around every op/eviction. *)
+(** Live store occupancy in bytes (not the peak), as of the tracker's
+    last store operation — O(1), a field read.  The engine's per-shard
+    occupancy gauge reads it after every item, and {!Pift_eval.Recorded}
+    samples it for Fig. 15. *)
 
 val current_ranges : t -> int
-(** Live distinct-range count (not the peak). *)
+(** Live distinct-range count (not the peak), like
+    {!current_tainted_bytes}. *)
+
+val ops : t -> int
+(** Taint plus untaint operations so far — [taint_ops + untaint_ops] of
+    {!stats} without building the record; Fig. 16 samples it. *)
 
 val origins_of : t -> pid:int -> Pift_util.Range.t -> string list
 (** Source kinds whose data overlaps the range (sorted); [[]] without a
@@ -77,8 +85,18 @@ val provenance : t -> Provenance.t option
 val is_tainted : t -> pid:int -> Pift_util.Range.t -> bool
 (** Software-level query at a sink. *)
 
+val observe_fields :
+  t -> kind:int -> seq:int -> k:int -> pid:int -> lo:int -> hi:int -> unit
+(** Feed one instruction event given as the ints Algorithm 1 reads (the
+    hardware fast path): [kind] is {!Pift_trace.Event.kind_load},
+    [kind_store] or [kind_other], and [lo]/[hi] the accessed range's
+    bounds (ignored for [kind_other]).  This is the tracker's one
+    Algorithm 1 body; the trace decoders call it through the engine
+    without building an event, and a range is allocated only for the
+    store operation that needs one. *)
+
 val observe : t -> Pift_trace.Event.t -> unit
-(** Feed one instruction event (the hardware fast path). *)
+(** {!observe_fields} on the event's fields. *)
 
 val tainted_ranges : t -> pid:int -> Pift_util.Range.t list
 
@@ -93,13 +111,6 @@ type stats = {
 }
 
 val stats : t -> stats
-
-val tainted_bytes_series : t -> Pift_util.Series.t
-(** Tainted-bytes-over-time samples (paper Fig. 15); time is the global
-    instruction sequence number. *)
-
-val ops_series : t -> Pift_util.Series.t
-(** Cumulative tainting+untainting operations over time (Fig. 16). *)
 
 val export : metrics:Pift_obs.Registry.t -> t -> unit
 (** Add the tracker's totals so far to [metrics], read from the counts
@@ -138,7 +149,7 @@ val restore : t -> persisted -> unit
     same policy and provenance mode (the snapshot manifest records both;
     persisted ranges are canonical, so the store backend is free).
     Restored ranges bypass [taint_source], so stats and the sidecar keep
-    their persisted values; the Fig. 15 series is synced once at the
+    their persisted values; the live occupancy is synced once at the
     end.  After [restore t p] the tracker's observable behaviour — verdicts,
     origin sets, stats, future window decisions — is identical to the
     persisted tracker's. *)

@@ -8,6 +8,7 @@ module App = Pift_workloads.App
 module Tracker = Pift_core.Tracker
 module Store = Pift_core.Store
 module Full_dift = Pift_baseline.Full_dift
+module Series = Pift_util.Series
 
 type marker =
   | Source of { kind : string; range : Range.t }
@@ -165,15 +166,44 @@ let replay ?(backend = Store.Flat) ?store ?metrics ?flight ?telemetry
             :: !origin_verdicts
         end
   in
-  interleave t ~observe:(Tracker.observe tracker) ~on_marker;
+  (* Figs. 15 and 16, sampled from the tracker's counters after every
+     item.  A store op happens inside an event and stamps that event's
+     seq; a marker stamps the latest event seq so far.  Each series
+     gains a sample when its counter moved, an empty series counting
+     as 0. *)
+  let bytes_series = Series.create ~name:"tainted bytes" ()
+  and ops_series = Series.create ~name:"taint+untaint ops" () in
+  let last_bytes = ref 0 and last_ops = ref 0 and last_time = ref 0 in
+  let sample time =
+    let ops = Tracker.ops tracker in
+    if ops <> !last_ops then begin
+      last_ops := ops;
+      Series.record ops_series ~time ~value:ops
+    end;
+    let bytes = Tracker.current_tainted_bytes tracker in
+    if bytes <> !last_bytes then begin
+      last_bytes := bytes;
+      Series.record bytes_series ~time ~value:bytes
+    end
+  in
+  let observe (e : Pift_trace.Event.t) =
+    Tracker.observe tracker e;
+    if e.seq > !last_time then last_time := e.seq;
+    sample e.seq
+  in
+  let on_marker m =
+    on_marker m;
+    sample !last_time
+  in
+  interleave t ~observe ~on_marker;
   Option.iter (fun metrics -> Tracker.export ~metrics tracker) metrics;
   let verdicts = List.rev !verdicts in
   {
     verdicts;
     flagged = List.exists (fun (v : verdict) -> v.flagged) verdicts;
     stats = Tracker.stats tracker;
-    bytes_series = Tracker.tainted_bytes_series tracker;
-    ops_series = Tracker.ops_series tracker;
+    bytes_series;
+    ops_series;
     origins = List.rev !origin_verdicts;
   }
 

@@ -66,7 +66,12 @@ type replay = {
   flagged : bool;  (** any sink check came back tainted *)
   stats : Pift_core.Tracker.stats;
   bytes_series : Pift_util.Series.t;
+      (** tainted bytes over time (Fig. 15): a sample whenever the live
+          count moved, at the seq of the event that moved it (a
+          marker's: the latest event seq so far) *)
   ops_series : Pift_util.Series.t;
+      (** cumulative taint+untaint operations over time (Fig. 16),
+          sampled the same way *)
   origins : origin_verdict list;
       (** in sink-check order; [[]] unless replayed [~with_origins] *)
 }

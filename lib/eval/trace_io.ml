@@ -169,15 +169,14 @@ let parse_int n s =
 
 (* A corrupt length or address must surface as a positioned Trace_io
    error, not escape as a bare [Invalid_argument "Range.of_len"] from
-   deep inside the parser. *)
-let range_of_len n lo len =
-  try Range.of_len (parse_int n lo) (parse_int n len)
-  with Invalid_argument msg -> fail_line n msg
+   deep inside the parser.  The length is parsed before the start. *)
+let hi_of_len n lo len =
+  try Range.hi_of_len lo len with Invalid_argument msg -> fail_line n msg
 
-(* A synthetic instruction for deserialised memory events: serialisation
-   keeps only the access, which is all the PIFT analysis consumes. *)
-let synth_load = Insn.Ldr (Insn.Word, Reg.R0, Insn.Offset (Reg.R0, Insn.Imm 0))
-let synth_store = Insn.Str (Insn.Word, Reg.R0, Insn.Offset (Reg.R0, Insn.Imm 0))
+let range_of_len n lo len =
+  let len = parse_int n len in
+  let lo = parse_int n lo in
+  Range.make lo (hi_of_len n lo len)
 
 let is_hex_digit = function
   | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
@@ -217,71 +216,89 @@ let rec parse_ranges n = function
 
 type header = { h_name : string; h_pid : int; h_bytecodes : int }
 
-let text_event n seq k pid insn access =
-  Recorded.Item_event
-    { Event.seq = parse_int n seq; k = parse_int n k; pid = parse_int n pid;
-      insn; access }
+type on_event =
+  kind:int -> seq:int -> k:int -> pid:int -> lo:int -> hi:int -> unit
 
-(* One record line to one stream item. *)
-let text_item n line =
-  match String.split_on_char ' ' line with
-  | [ "L"; seq; k; pid; lo; len ] ->
-      text_event n seq k pid synth_load (Event.Load (range_of_len n lo len))
-  | [ "S"; seq; k; pid; lo; len ] ->
-      text_event n seq k pid synth_store (Event.Store (range_of_len n lo len))
-  | [ "O"; seq; k; pid ] -> text_event n seq k pid Insn.Nop Event.Other
-  | [ "M"; seq; "SRC"; kind; lo; len ] ->
-      Recorded.Item_marker
-        ( parse_int n seq,
-          Recorded.Source
-            { kind = unescape_kind n kind; range = range_of_len n lo len } )
-  | "M" :: seq :: "SNK" :: kind :: rest ->
-      Recorded.Item_marker
-        ( parse_int n seq,
-          Recorded.Sink
-            { kind = unescape_kind n kind; ranges = parse_ranges n rest } )
-  | _ -> fail_line n ("unrecognised record: " ^ line)
+type on_marker = int -> Recorded.marker -> unit
 
-(* Streaming text front: parse magic + header eagerly, then one item per
-   pull.  Nothing is accumulated — memory is one line. *)
+(* Text decoder state: the channel, the line number and the last
+   event's seq. *)
+type text_reader = {
+  tr_ic : in_channel;
+  mutable tr_line : int;
+  mutable tr_event_seq : int;
+}
+
+(* Magic + header, eagerly; the returned reader is positioned at the
+   first record line. *)
 let text_open ic =
-  let line_no = ref 0 in
+  let tr = { tr_ic = ic; tr_line = 0; tr_event_seq = min_int } in
   let next () =
-    incr line_no;
+    tr.tr_line <- tr.tr_line + 1;
     input_line ic
   in
   (match next () with
   | l when String.equal l magic -> ()
-  | _ -> fail_line !line_no "bad magic"
+  | _ -> fail_line tr.tr_line "bad magic"
   | exception End_of_file -> fail_line 1 "empty file");
   let header key =
     match String.split_on_char ' ' (next ()) with
     | k :: rest when String.equal k key -> String.concat " " rest
-    | _ -> fail_line !line_no ("expected header " ^ key)
+    | _ -> fail_line tr.tr_line ("expected header " ^ key)
   in
   let h_name = header "name" in
-  let h_pid = parse_int !line_no (header "pid") in
-  let h_bytecodes = parse_int !line_no (header "bytecodes") in
-  let event_seq = ref min_int in
-  let rec next_item () =
-    match next () with
-    | exception End_of_file -> None
-    | "" -> next_item ()
-    | line ->
-        let item = text_item !line_no line in
-        (match item with
-        | Recorded.Item_event e ->
-            if e.Event.seq < !event_seq then
-              fail_line !line_no (backwards e.Event.seq !event_seq);
-            event_seq := e.Event.seq
-        | Recorded.Item_marker _ -> ());
-        Some item
+  let h_pid = parse_int tr.tr_line (header "pid") in
+  let h_bytecodes = parse_int tr.tr_line (header "bytecodes") in
+  ({ h_name; h_pid; h_bytecodes }, tr)
+
+(* Fields are parsed right to left — length, start, pid, k, seq — so a
+   line with several bad fields reports the one it always has. *)
+let text_event tr on_event n kind seq k pid lo len =
+  let lo, hi =
+    if kind = Event.kind_other then (0, 0)
+    else begin
+      let len = parse_int n len in
+      let lo = parse_int n lo in
+      (lo, hi_of_len n lo len)
+    end
   in
-  ({ h_name; h_pid; h_bytecodes }, next_item)
+  let pid = parse_int n pid in
+  let k = parse_int n k in
+  let seq = parse_int n seq in
+  if seq < tr.tr_event_seq then fail_line n (backwards seq tr.tr_event_seq);
+  tr.tr_event_seq <- seq;
+  on_event ~kind ~seq ~k ~pid ~lo ~hi
+
+(* One record line per pull; blank lines are skipped.  Nothing is
+   accumulated — memory is one line. *)
+let rec text_pull tr on_event on_marker =
+  tr.tr_line <- tr.tr_line + 1;
+  match input_line tr.tr_ic with
+  | exception End_of_file -> false
+  | "" -> text_pull tr on_event on_marker
+  | line ->
+      let n = tr.tr_line in
+      (match String.split_on_char ' ' line with
+      | [ "L"; seq; k; pid; lo; len ] ->
+          text_event tr on_event n Event.kind_load seq k pid lo len
+      | [ "S"; seq; k; pid; lo; len ] ->
+          text_event tr on_event n Event.kind_store seq k pid lo len
+      | [ "O"; seq; k; pid ] ->
+          text_event tr on_event n Event.kind_other seq k pid "" ""
+      | [ "M"; seq; "SRC"; kind; lo; len ] ->
+          let range = range_of_len n lo len in
+          let kind = unescape_kind n kind in
+          on_marker (parse_int n seq) (Recorded.Source { kind; range })
+      | "M" :: seq :: "SNK" :: kind :: rest ->
+          let ranges = parse_ranges n rest in
+          let kind = unescape_kind n kind in
+          on_marker (parse_int n seq) (Recorded.Sink { kind; ranges })
+      | _ -> fail_line n ("unrecognised record: " ^ line));
+      true
 
 (* Binary decoder state over the shared record reader: the delta
-   baselines and the last event's seq.  Decoding a record allocates
-   only the item itself. *)
+   baselines and the last event's seq.  Decoding an event allocates
+   nothing. *)
 type bin_reader = {
   br_rd : Wire.Reader.t;
   mutable br_prev_seq : int;
@@ -315,57 +332,57 @@ let bin_open ic =
       br_event_seq = min_int;
     } )
 
-let bin_next br =
+(* The seq check runs on the whole record, after [finish], so a record
+   that is corrupt in other ways reports that first. *)
+let bin_event br on_event ~kind ~seq ~k ~pid ~lo ~hi =
+  let rd = br.br_rd in
+  Wire.Reader.finish rd;
+  if seq < br.br_event_seq then
+    Wire.Reader.fail rd (backwards seq br.br_event_seq);
+  br.br_event_seq <- seq;
+  on_event ~kind ~seq ~k ~pid ~lo ~hi
+
+let bin_pull br on_event on_marker =
   let rd = br.br_rd in
   let tag = Wire.Reader.next rd in
-  if tag < 0 then None
+  if tag < 0 then false
   else begin
-    let item =
-      if tag <= tag_other then begin
-        let seq = br_seq br in
-        br.br_prev_k <- br.br_prev_k + Wire.Reader.svarint rd;
-        let pid = Wire.Reader.varint rd in
-        Recorded.Item_event
-          (if tag = tag_other then
-             { Event.seq; k = br.br_prev_k; pid; insn = Insn.Nop;
-               access = Event.Other }
-           else begin
-             let r = br_range br in
-             {
-               Event.seq;
-               k = br.br_prev_k;
-               pid;
-               insn = (if tag = tag_load then synth_load else synth_store);
-               access = (if tag = tag_load then Event.Load r else Event.Store r);
-             }
-           end)
-      end
-      else if tag = tag_source then begin
-        let seq = br_seq br in
-        let kind = Wire.Reader.string rd "kind" in
-        let range = br_range br in
-        Recorded.Item_marker (seq, Recorded.Source { kind; range })
-      end
-      else if tag = tag_sink then begin
-        let seq = br_seq br in
-        let kind = Wire.Reader.string rd "kind" in
-        let ranges =
-          List.init (Wire.Reader.count rd "range") (fun _ -> br_range br)
+    if tag <= tag_other then begin
+      let seq = br_seq br in
+      let k = br.br_prev_k + Wire.Reader.svarint rd in
+      br.br_prev_k <- k;
+      let pid = Wire.Reader.varint rd in
+      if tag = tag_other then
+        bin_event br on_event ~kind:Event.kind_other ~seq ~k ~pid ~lo:0 ~hi:0
+      else begin
+        let lo = br.br_prev_lo + Wire.Reader.svarint rd in
+        let hi = Wire.Reader.hi_of_len rd lo (Wire.Reader.varint rd) in
+        br.br_prev_lo <- lo;
+        let kind =
+          if tag = tag_load then Event.kind_load else Event.kind_store
         in
-        Recorded.Item_marker (seq, Recorded.Sink { kind; ranges })
+        bin_event br on_event ~kind ~seq ~k ~pid ~lo ~hi
       end
-      else Wire.Reader.fail rd (Printf.sprintf "unknown record tag %d" tag)
-    in
-    Wire.Reader.finish rd;
-    (* Checked on the whole record, so a record that is corrupt in
-       other ways reports that first. *)
-    (match item with
-    | Recorded.Item_event e ->
-        if e.Event.seq < br.br_event_seq then
-          Wire.Reader.fail rd (backwards e.Event.seq br.br_event_seq);
-        br.br_event_seq <- e.Event.seq
-    | Recorded.Item_marker _ -> ());
-    Some item
+    end
+    else begin
+      if tag <> tag_source && tag <> tag_sink then
+        Wire.Reader.fail rd (Printf.sprintf "unknown record tag %d" tag);
+      let seq = br_seq br in
+      let kind = Wire.Reader.string rd "kind" in
+      let marker =
+        if tag = tag_source then Recorded.Source { kind; range = br_range br }
+        else
+          Recorded.Sink
+            {
+              kind;
+              ranges =
+                List.init (Wire.Reader.count rd "range") (fun _ -> br_range br);
+            }
+      in
+      Wire.Reader.finish rd;
+      on_marker seq marker
+    end;
+    true
   end
 
 (* --- readers with format autodetection ----------------------------------- *)
@@ -387,12 +404,31 @@ let detect_format path =
   let ic = open_in_bin path in
   Fun.protect ~finally:(fun () -> close_in ic) (fun () -> detect_channel ic)
 
+type decoder = Bin of bin_reader | Txt of text_reader
+
 type reader = {
   r_ic : in_channel;
   r_header : header;
-  r_next : unit -> Recorded.item option;
+  r_dec : decoder;
   mutable r_closed : bool;
+  (* [read_item]'s result slot and the callbacks that fill it, built
+     once per reader. *)
+  r_item : Recorded.item ref;
+  r_on_event : on_event;
+  r_on_marker : on_marker;
 }
+
+(* A synthetic instruction for deserialised memory events: serialisation
+   keeps only the access, which is all the PIFT analysis consumes. *)
+let synth_load = Insn.Ldr (Insn.Word, Reg.R0, Insn.Offset (Reg.R0, Insn.Imm 0))
+let synth_store = Insn.Str (Insn.Word, Reg.R0, Insn.Offset (Reg.R0, Insn.Imm 0))
+
+let event_of_fields ~kind ~seq ~k ~pid ~lo ~hi : Event.t =
+  if kind = Event.kind_load then
+    { seq; k; pid; insn = synth_load; access = Event.Load (Range.make lo hi) }
+  else if kind = Event.kind_store then
+    { seq; k; pid; insn = synth_store; access = Event.Store (Range.make lo hi) }
+  else { seq; k; pid; insn = Insn.Nop; access = Event.Other }
 
 let open_reader path =
   let ic = open_in_bin path in
@@ -400,15 +436,41 @@ let open_reader path =
     match detect_channel ic with
     | Binary ->
         let h, br = bin_open ic in
-        (h, fun () -> bin_next br)
-    | Text -> text_open ic
+        (h, Bin br)
+    | Text ->
+        let h, tr = text_open ic in
+        (h, Txt tr)
   with
-  | r_header, r_next -> { r_ic = ic; r_header; r_next; r_closed = false }
+  | r_header, r_dec ->
+      let r_item =
+        ref (Recorded.Item_marker (0, Recorded.Sink { kind = ""; ranges = [] }))
+      in
+      {
+        r_ic = ic;
+        r_header;
+        r_dec;
+        r_closed = false;
+        r_item;
+        r_on_event =
+          (fun ~kind ~seq ~k ~pid ~lo ~hi ->
+            r_item :=
+              Recorded.Item_event (event_of_fields ~kind ~seq ~k ~pid ~lo ~hi));
+        r_on_marker = (fun seq m -> r_item := Recorded.Item_marker (seq, m));
+      }
   | exception e ->
       close_in_noerr ic;
       raise e
 
-let read_item r = r.r_next ()
+let pull r ~on_event ~on_marker =
+  match r.r_dec with
+  | Bin br -> bin_pull br on_event on_marker
+  | Txt tr -> text_pull tr on_event on_marker
+
+let read_item r =
+  if pull r ~on_event:r.r_on_event ~on_marker:r.r_on_marker then
+    Some !(r.r_item)
+  else None
+
 let reader_header r = r.r_header
 
 let close_reader r =
@@ -426,17 +488,12 @@ let load ?profile path =
       with_reader path (fun r ->
           let trace = Trace.create () in
           let markers = ref [] in
-          let rec drain () =
-            match read_item r with
-            | None -> ()
-            | Some (Recorded.Item_event e) ->
-                Trace.add trace e;
-                drain ()
-            | Some (Recorded.Item_marker (seq, m)) ->
-                markers := (seq, m) :: !markers;
-                drain ()
-          in
-          drain ();
+          let on_event ~kind ~seq ~k ~pid ~lo ~hi =
+            Trace.add trace (event_of_fields ~kind ~seq ~k ~pid ~lo ~hi)
+          and on_marker seq m = markers := (seq, m) :: !markers in
+          while pull r ~on_event ~on_marker do
+            ()
+          done;
           let h = r.r_header in
           {
             Recorded.name = h.h_name;

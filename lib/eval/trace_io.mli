@@ -53,7 +53,7 @@ val save : ?format:format -> Recorded.t -> string -> unit
     defaults to [Text]. *)
 
 val load : ?profile:Pift_obs.Profile.t -> string -> Recorded.t
-(** {!open_reader} drained into a recording.  Raises [Failure] with a
+(** {!open_reader} drained by {!pull} into a recording.  Raises [Failure] with a
     line number (text) or record number (binary) on malformed input.
     With [profile], the whole parse is attributed to a ["trace_io"]
     region, so decode cost shows up in the overhead breakdown next to
@@ -66,9 +66,9 @@ val detect_format : string -> format
 (** {1 Streaming readers}
 
     Event-at-a-time ingestion over either format: the service engine
-    multiplexes many open traces without ever materialising one, so
-    resident memory is one buffered chunk (binary) or one line (text)
-    per tenant, whatever the trace length. *)
+    runs many open traces without ever materialising one, so resident
+    memory is one buffered chunk (binary) or one line (text) per
+    tenant, whatever the trace length. *)
 
 type reader
 (** An open trace positioned after its header.  Not an unbounded
@@ -77,15 +77,34 @@ type reader
 val open_reader : string -> reader
 (** Autodetects the format and parses the header eagerly — a bad magic
     or truncated header raises the same positioned [Failure] as {!load}
-    (and the file is closed).  Items then come one {!read_item} at a
-    time. *)
+    (and the file is closed).  Items then come one {!pull} (or
+    {!read_item}) at a time. *)
+
+type on_event =
+  kind:int -> seq:int -> k:int -> pid:int -> lo:int -> hi:int -> unit
+(** An event as the ints Algorithm 1 reads: [kind] is
+    {!Pift_trace.Event.kind_load}, [kind_store] or [kind_other], and
+    [lo]/[hi] the range bounds, already checked as {!Pift_util.Range}
+    would ([0] for [kind_other]). *)
+
+type on_marker = int -> Recorded.marker -> unit
+(** A marker with its seq. *)
+
+val pull : reader -> on_event:on_event -> on_marker:on_marker -> bool
+(** The decoder — one per format, and every reader of a trace goes
+    through it.  Decode the next item in file order (the replay
+    interleaving the writers emit, {!Recorded.items}) and hand it to
+    exactly one callback; [false] at a clean end of stream.  An event
+    reaches [on_event] without any allocation, so callbacks built once
+    per stream make decoding allocation-free but for markers.  Every
+    framing, range and seq check runs before the callback: malformed or
+    truncated input raises [Failure] with the line (text) or record
+    (binary) position, and the items before it have already been
+    delivered, so an ingester can account for partial streams. *)
 
 val read_item : reader -> Recorded.item option
-(** Next item in file order — the replay interleaving the writers emit
-    ({!Recorded.items}).  [None] at a clean end of stream.  Malformed or
-    truncated input raises [Failure] with the line (text) or record
-    (binary) position; items before the corruption have already been
-    delivered, so an ingester can account for partial streams. *)
+(** {!pull} into a {!Recorded.item}, [None] at the end: builds the
+    event (with a synthetic instruction) or passes the marker on. *)
 
 type header = { h_name : string; h_pid : int; h_bytecodes : int }
 

@@ -20,7 +20,7 @@ type verdict = { v_kind : string; v_flagged : bool; v_origins : string list }
 
 (* One tenant = one pid = one private tracker stack (store + optional
    provenance sidecar).  Private per tenant, not per shard: the tracker's
-   stats and series are then the tenant's alone, which is what makes the
+   stats are then the tenant's alone, which is what makes the
    interleaved engine byte-identical to N isolated replays — the
    differential harness's whole claim. *)
 type tenant = {
@@ -164,7 +164,7 @@ let inject_fault t ~shard ~after_items =
   t.fault_shard <- shard;
   t.fault_after <- after_items
 
-(* The per-item step, shared by {!feed} and {!run}: the armed fault
+(* The per-item step, shared by the feeds and {!run}: the armed fault
    (only the faulting shard reads and disarms it), the item count, then
    one tenant op below. *)
 let tick t sh =
@@ -217,24 +217,25 @@ let lane t ~pid ~orig_pid =
     ln_hi = lo + t.cfg.pid_range - 1;
   }
 
-(* The one place a recorded pid becomes an engine pid.  Forked children
+(* The one place a recorded pid becomes an engine pid: forked children
    keep their offset from the recorded main pid, so they stay distinct
-   inside the tenant's tracker; the event is copied only when the offset
-   is non-zero. *)
-let remap ln (e : Event.t) =
-  let pid = e.Event.pid + ln.ln_delta in
+   inside the tenant's tracker.  The event stays a handful of ints all
+   the way into the tracker. *)
+let feed_event t ln ~kind ~seq ~k ~pid ~lo ~hi =
+  let sh = ln.ln_shard in
+  tick t sh;
+  let pid = pid + ln.ln_delta in
   if pid < ln.ln_lo || pid > ln.ln_hi then raise (Pid_outside_block pid);
-  if ln.ln_delta = 0 then e else { e with Event.pid }
+  sh.sh_events <- sh.sh_events + 1;
+  Tracker.observe_fields ln.ln_tenant.tn_tracker ~kind ~seq ~k ~pid ~lo ~hi;
+  sync_bytes sh ln.ln_tenant
 
-let feed t ln (item : Recorded.item) =
+let feed_marker t ln (m : Recorded.marker) =
   let sh = ln.ln_shard and tn = ln.ln_tenant in
   tick t sh;
-  match item with
-  | Recorded.Item_event e -> on_event sh tn (remap ln e)
-  | Recorded.Item_marker (_, Recorded.Source { kind; range }) ->
-      on_source sh tn ~kind range
-  | Recorded.Item_marker (_, Recorded.Sink { kind; ranges }) ->
-      on_sink t tn ~kind ranges
+  match m with
+  | Recorded.Source { kind; range } -> on_source sh tn ~kind range
+  | Recorded.Sink { kind; ranges } -> on_sink t tn ~kind ranges
 
 let run_shards t f =
   if t.closed then invalid_arg "Engine.run_shards: engine is shut down";

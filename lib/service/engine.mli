@@ -14,10 +14,10 @@
 
     {b Two ways in.}  {!run_shards} is the production path: it calls
     one function per shard on that shard's own slot, and {!Ingest.run}
-    uses it to let every shard decode and {!feed} its own tenants'
-    sources.  {!run} drains one in-band {!stream} of {!item}s on the
-    calling domain.  Both go through the same per-item step (armed
-    fault, counters, tenant op).
+    uses it to let every shard decode its own tenants' sources and hand
+    each event to {!feed_event} as plain ints.  {!run} drains one
+    in-band {!stream} of {!item}s on the calling domain.  Both go
+    through the same per-item step (armed fault, counters, tenant op).
 
     {b Determinism.}  Every tenant owns a private tracker, and each
     tenant's items are processed in its own stream order by the one
@@ -71,13 +71,13 @@ val run_shards : t -> (int -> unit) -> unit
 (** [run_shards t f] calls [f i] on pool slot [i] for every shard [i]
     at once ([f 0] on the calling domain), joins the pool, and then
     re-raises the first failure.  [f i] may touch shard [i]'s tenants
-    only, through {!lane} and {!feed}.  A failing shard does not stop
-    the others: they finish their [f] first.  Refuses after
-    {!shutdown}. *)
+    only, through {!lane}, {!feed_event} and {!feed_marker}.  A failing
+    shard does not stop the others: they finish their [f] first.
+    Refuses after {!shutdown}. *)
 
 type lane
-(** One tenant resolved for {!feed}: its shard, its tracker, and the
-    offset from the pids its recording uses to its engine pid. *)
+(** One tenant resolved for {!feed_event}: its shard, its tracker, and
+    the offset from the pids its recording uses to its engine pid. *)
 
 val lane : t -> pid:int -> orig_pid:int -> lane
 (** Resolve (creating on first touch) the tenant of engine pid [pid],
@@ -88,19 +88,25 @@ val lane : t -> pid:int -> orig_pid:int -> lane
 exception Pid_outside_block of int
 (** Carries the remapped pid. *)
 
-val feed : t -> lane -> Pift_eval.Recorded.item -> unit
-(** Process one recorded item for the lane's tenant: the armed fault,
-    the counters, then the tenant op.  An event's pid [p] becomes
-    [p - orig_pid + pid], so forked children stay distinct inside the
-    tenant; the event is copied only when that offset is non-zero.
-    Raises {!Pid_outside_block} if the remapped pid leaves the tenant's
-    [pid_range] block.  Markers apply to the tenant's own pid. *)
+val feed_event :
+  t -> lane -> kind:int -> seq:int -> k:int -> pid:int -> lo:int -> hi:int ->
+  unit
+(** Process one event of the lane's tenant, given as ints
+    ({!Pift_eval.Trace_io.on_event}): the armed fault, the counters,
+    then {!Pift_core.Tracker.observe_fields}.  The recorded pid [p]
+    becomes [p - orig_pid + pid] by one addition, so forked children
+    stay distinct inside the tenant.  Raises {!Pid_outside_block} if the
+    remapped pid leaves the tenant's [pid_range] block. *)
+
+val feed_marker : t -> lane -> Pift_eval.Recorded.marker -> unit
+(** Process one marker of the lane's tenant through the same per-item
+    step; markers apply to the tenant's own pid. *)
 
 val run : t -> stream -> unit
 (** Drain [stream] to completion on the calling domain, each item
     going to the tenant of its own pid through the same per-item step
-    as {!feed}.  Engine-idle only.  Tenants are created on first touch
-    and survive across runs until evicted. *)
+    as {!feed_event}.  Engine-idle only.  Tenants are created on first
+    touch and survive across runs until evicted. *)
 
 val shutdown : t -> unit
 (** Join the pool domains.  Idempotent; {!run} and {!run_shards} refuse

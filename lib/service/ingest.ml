@@ -1,3 +1,4 @@
+module Range = Pift_util.Range
 module Event = Pift_trace.Event
 module Recorded = Pift_eval.Recorded
 module Trace_io = Pift_eval.Trace_io
@@ -8,6 +9,8 @@ type source = {
   src_pid : int;  (* pid the engine sees *)
   src_orig_pid : int;  (* pid recorded in the trace *)
   src_next : unit -> Recorded.item option;
+  src_pull :
+    on_event:Trace_io.on_event -> on_marker:Trace_io.on_marker -> bool;
   src_close : unit -> unit;
   (* Ingest cursor: items the engine processed (or skipped on resume).
      [run] reads nothing ahead, so a snapshot records exactly the
@@ -19,13 +22,35 @@ let tenant_pid ?(pid_range = 1 lsl 20) i =
   if i < 0 then invalid_arg "Ingest.tenant_pid: index must be non-negative";
   (i + 1) * pid_range
 
+(* An item stream as a pull: events are unpacked into their fields. *)
+let pull_of_next next ~(on_event : Trace_io.on_event) ~on_marker =
+  match next () with
+  | None -> false
+  | Some (Recorded.Item_marker (seq, m)) ->
+      on_marker seq m;
+      true
+  | Some (Recorded.Item_event (e : Event.t)) ->
+      (match e.access with
+      | Event.Load r ->
+          on_event ~kind:Event.kind_load ~seq:e.seq ~k:e.k ~pid:e.pid
+            ~lo:(Range.lo r) ~hi:(Range.hi r)
+      | Event.Store r ->
+          on_event ~kind:Event.kind_store ~seq:e.seq ~k:e.k ~pid:e.pid
+            ~lo:(Range.lo r) ~hi:(Range.hi r)
+      | Event.Other ->
+          on_event ~kind:Event.kind_other ~seq:e.seq ~k:e.k ~pid:e.pid ~lo:0
+            ~hi:0);
+      true
+
 let of_recorded ~pid (r : Recorded.t) =
+  let next = Recorded.items r in
   {
     src_name = r.Recorded.name;
     src_path = None;
     src_pid = pid;
     src_orig_pid = r.Recorded.pid;
-    src_next = Recorded.items r;
+    src_next = next;
+    src_pull = pull_of_next next;
     src_close = ignore;
     src_emitted = 0;
   }
@@ -39,12 +64,17 @@ let of_file ~pid path =
     src_pid = pid;
     src_orig_pid = h.Trace_io.h_pid;
     src_next = (fun () -> Trace_io.read_item r);
+    src_pull =
+      (fun ~on_event ~on_marker -> Trace_io.pull r ~on_event ~on_marker);
     src_close = (fun () -> Trace_io.close_reader r);
     src_emitted = 0;
   }
 
 let close s = s.src_close ()
 let cursor s = s.src_emitted
+
+let skip_event ~kind:_ ~seq:_ ~k:_ ~pid:_ ~lo:_ ~hi:_ = ()
+let skip_marker _ _ = ()
 
 (* Resume: discard the items a previous run already consumed (per its
    snapshot cursor), so the next emission is the first unseen item.
@@ -53,14 +83,14 @@ let cursor s = s.src_emitted
 let skip s n =
   if n < 0 then invalid_arg "Ingest.skip: negative cursor";
   for _ = 1 to n do
-    match s.src_next () with
-    | Some _ -> s.src_emitted <- s.src_emitted + 1
-    | None ->
-        failwith
-          (Printf.sprintf
-             "Ingest.skip: source %s ended before cursor %d (trace changed \
-              since snapshot?)"
-             s.src_name n)
+    if s.src_pull ~on_event:skip_event ~on_marker:skip_marker then
+      s.src_emitted <- s.src_emitted + 1
+    else
+      failwith
+        (Printf.sprintf
+           "Ingest.skip: source %s ended before cursor %d (trace changed \
+            since snapshot?)"
+           s.src_name n)
   done
 
 (* Remap a recorded item onto the source's assigned engine pid.  The
@@ -167,22 +197,25 @@ let merge sources : Engine.stream =
 
 (* Feed source [s] to its tenant until it ends or [left] items are
    spent; returns the unspent budget, so a positive result means the
-   source ended.  The cursor is counted in a local and stored once, also
-   on failure: sources of different shards sit side by side in memory,
-   and a per-item store would bounce their cache line between domains.
-   The failing item of a pid-block error is the one after those fed. *)
+   source ended.  The decoder hands each event straight to the engine
+   as ints, through callbacks built once here.  The cursor is counted
+   in a local and stored once, also on failure: sources of different
+   shards sit side by side in memory, and a per-item store would bounce
+   their cache line between domains.  The failing item of a pid-block
+   error is the one after those fed. *)
 let pump engine s left =
   let ln = Engine.lane engine ~pid:s.src_pid ~orig_pid:s.src_orig_pid in
+  let on_event ~kind ~seq ~k ~pid ~lo ~hi =
+    Engine.feed_event engine ln ~kind ~seq ~k ~pid ~lo ~hi
+  and on_marker _seq m = Engine.feed_marker engine ln m in
   let fed = ref 0 in
   let rec go left =
     if left = 0 then 0
-    else
-      match s.src_next () with
-      | None -> left
-      | Some item ->
-          Engine.feed engine ln item;
-          incr fed;
-          go (left - 1)
+    else if s.src_pull ~on_event ~on_marker then begin
+      incr fed;
+      go (left - 1)
+    end
+    else left
   in
   Fun.protect
     ~finally:(fun () -> s.src_emitted <- s.src_emitted + !fed)

@@ -14,6 +14,13 @@ type source = {
   src_pid : int;  (** pid the engine sees *)
   src_orig_pid : int;  (** pid recorded in the trace *)
   src_next : unit -> Pift_eval.Recorded.item option;
+      (** the stream as items, for {!merge} *)
+  src_pull :
+    on_event:Pift_eval.Trace_io.on_event ->
+    on_marker:Pift_eval.Trace_io.on_marker ->
+    bool;
+      (** the same stream through {!Pift_eval.Trace_io.pull}'s
+          interface: what {!run} and {!skip} read *)
   src_close : unit -> unit;
   mutable src_emitted : int;  (** read via {!cursor} *)
 }
@@ -22,12 +29,22 @@ val tenant_pid : ?pid_range:int -> int -> int
 (** [(i + 1) * pid_range] (default [pid_range] matches
     {!Engine.create}): the engine pid for tenant index [i >= 0]. *)
 
+val pull_of_next :
+  (unit -> Pift_eval.Recorded.item option) ->
+  on_event:Pift_eval.Trace_io.on_event ->
+  on_marker:Pift_eval.Trace_io.on_marker ->
+  bool
+(** An item stream as a [src_pull]: each event is unpacked into its
+    fields. *)
+
 val of_recorded : pid:int -> Pift_eval.Recorded.t -> source
 (** In-memory recording as a source (no close needed). *)
 
 val of_file : pid:int -> string -> source
 (** Open [path] with {!Pift_eval.Trace_io.open_reader} — text or binary,
-    streamed event-at-a-time, never materialised.  {!close} (or {!run})
+    streamed event-at-a-time, never materialised: [src_pull] is the
+    reader's {!Pift_eval.Trace_io.pull} and [src_next] its
+    {!Pift_eval.Trace_io.read_item}.  {!close} (or {!run})
     releases the channel. *)
 
 val close : source -> unit
@@ -71,10 +88,13 @@ val run :
     every shard process its own sources: the sources whose pid
     {!Engine.shard_of} maps to shard [i] keep their list order, and
     slot [i] decodes and feeds them one after another on its own domain
-    (see {!Engine.run_shards} and {!Engine.feed}).  There is no global
-    merge and no queue.  Sources are closed on the way out, also on
-    failure.  An event whose remapped pid leaves its tenant's pid block
-    fails the run with an error naming the source and the item number.
+    (see {!Engine.run_shards}).  Each source's [src_pull] hands its
+    events to {!Engine.feed_event} as plain ints, through callbacks
+    built once per source and segment: no item, event or option is
+    built per event, and there is no global merge and no queue.
+    Sources are closed on the way out, also on failure.  An event whose
+    remapped pid leaves its tenant's pid block fails the run with an
+    error naming the source and the item number.
 
     With [segment:n], each shard processes at most [n] items per
     segment; then all shards join, the engine is fully idle, and

@@ -10,6 +10,10 @@ type t = {
   access : access;
 }
 
+let kind_load = 0
+let kind_store = 1
+let kind_other = 2
+
 let is_load e = match e.access with Load _ -> true | Store _ | Other -> false
 let is_store e = match e.access with Store _ -> true | Load _ | Other -> false
 

@@ -20,6 +20,17 @@ type t = {
   access : access;
 }
 
+(** {1 Unboxed events}
+
+    Algorithm 1 reads four fields of an event: its access kind, [k],
+    pid and address range.  The trace decoders hand those over as plain
+    ints ([~kind ~seq ~k ~pid ~lo ~hi]) instead of building a [t]; the
+    kind is one of these, and [lo]/[hi] are 0 for {!kind_other}. *)
+
+val kind_load : int
+val kind_store : int
+val kind_other : int
+
 val is_load : t -> bool
 val is_store : t -> bool
 

@@ -5,9 +5,14 @@ let make lo hi =
   if hi < lo then invalid_arg "Range.make: hi < lo";
   { lo; hi }
 
-let of_len addr len =
+let hi_of_len addr len =
   if len <= 0 then invalid_arg "Range.of_len: non-positive length";
-  make addr (addr + len - 1)
+  let hi = addr + len - 1 in
+  if addr < 0 then invalid_arg "Range.make: negative address";
+  if hi < addr then invalid_arg "Range.make: hi < lo";
+  hi
+
+let of_len addr len = { lo = addr; hi = hi_of_len addr len }
 
 let byte a = make a a
 let length r = r.hi - r.lo + 1

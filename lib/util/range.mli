@@ -15,6 +15,11 @@ val of_len : int -> int -> t
 (** [of_len addr len] is the [len]-byte range starting at [addr].
     Raises [Invalid_argument] when [len <= 0]. *)
 
+val hi_of_len : int -> int -> int
+(** [hi_of_len addr len] is [hi (of_len addr len)], with the same checks
+    and messages, without building the range: the decoders validate an
+    access this way and carry it on as two ints. *)
+
 val byte : int -> t
 (** [byte a] is the single-byte range [\[a, a\]]. *)
 

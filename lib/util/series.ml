@@ -28,11 +28,6 @@ let record s ~time ~value =
 
 let last_value s = if s.len = 0 then None else Some s.values.(s.len - 1)
 
-let record_if_changed s ~time ~value =
-  match last_value s with
-  | Some v when v = value -> ()
-  | Some _ | None -> record s ~time ~value
-
 let length s = s.len
 
 let max_value s =

@@ -12,9 +12,6 @@ val name : t -> string
 val record : t -> time:int -> value:int -> unit
 (** Append a sample.  Times must be non-decreasing. *)
 
-val record_if_changed : t -> time:int -> value:int -> unit
-(** Append only when [value] differs from the last recorded value. *)
-
 val length : t -> int
 val last_value : t -> int option
 val max_value : t -> int option

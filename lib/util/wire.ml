@@ -153,24 +153,23 @@ module Reader = struct
     if not (has r n) then fail r "truncated header";
     take r n
 
-  (* A record's payload length.  Almost every record is shorter than
-     128 bytes, so a one-byte prefix that is already buffered is read in
-     place.  Raises [End_of_file] when the stream ends cleanly where a
-     record would start. *)
+  (* A record's payload length.  Raises [End_of_file] when the stream
+     ends cleanly where a record would start. *)
   let length r =
-    let lo = r.lo in
-    let b = if lo < r.hi then Char.code (Bytes.unsafe_get r.buf lo) else 0x80 in
-    if b < 0x80 then begin
-      r.lo <- lo + 1;
-      b
-    end
-    else
-      match header_byte r with
-      | -1 -> raise End_of_file
-      | b -> if b < 0x80 then b else stream_varint_rest r 7 (b land 0x7f)
+    match header_byte r with
+    | -1 -> raise End_of_file
+    | b -> if b < 0x80 then b else stream_varint_rest r 7 (b land 0x7f)
 
-  let next r =
-    r.record <- r.record + 1;
+  (* Pin a payload of [len] bytes starting at [r.lo] and return its
+     tag. *)
+  let[@inline] frame r len =
+    let lo = r.lo in
+    r.pos <- lo + 1;
+    r.limit <- lo + len;
+    r.lo <- lo + len;
+    Char.code (Bytes.unsafe_get r.buf lo)
+
+  let next_slow r =
     match length r with
     | exception End_of_file ->
         r.record <- r.record - 1;
@@ -180,13 +179,26 @@ module Reader = struct
         if len > max_record_payload then fail r "implausible record length";
         if not (has r len) then
           fail r (Printf.sprintf "truncated record (%d payload bytes)" len);
-        r.pos <- r.lo + 1;
-        r.limit <- r.lo + len;
-        let tag = Char.code (Bytes.unsafe_get r.buf r.lo) in
-        r.lo <- r.lo + len;
-        tag
+        frame r len
 
-  let finish r = if r.pos <> r.limit then fail r "trailing bytes in record"
+  (* Almost every record is shorter than 128 bytes and already
+     buffered: its one-byte length prefix and payload are read in
+     place, without a call. *)
+  let[@inline] next r =
+    r.record <- r.record + 1;
+    let lo = r.lo in
+    if lo < r.hi then begin
+      let len = Char.code (Bytes.unsafe_get r.buf lo) in
+      if len > 0 && len < 0x80 && lo + 1 + len <= r.hi then begin
+        r.lo <- lo + 1;
+        frame r len
+      end
+      else next_slow r
+    end
+    else next_slow r
+
+  let[@inline] finish r =
+    if r.pos <> r.limit then fail r "trailing bytes in record"
 
   let rec varint_rest r shift acc =
     if r.pos >= r.limit then fail r "truncated record payload"
@@ -200,8 +212,20 @@ module Reader = struct
       end
     end
 
-  let varint r = varint_rest r 0 0
-  let svarint r = unzigzag (varint r)
+  (* Nearly every field is one byte, read here without a call. *)
+  let[@inline] varint r =
+    let pos = r.pos in
+    if pos < r.limit then begin
+      let b = Char.code (Bytes.unsafe_get r.buf pos) in
+      if b < 0x80 then begin
+        r.pos <- pos + 1;
+        b
+      end
+      else varint_rest r 0 0
+    end
+    else varint_rest r 0 0
+
+  let[@inline] svarint r = unzigzag (varint r)
 
   let bool r =
     if r.pos >= r.limit then fail r "truncated record payload";
@@ -225,8 +249,11 @@ module Reader = struct
       fail r (Printf.sprintf "implausible %s count" what);
     n
 
+  let hi_of_len r lo len =
+    try Range.hi_of_len lo len with Invalid_argument msg -> fail r msg
+
   let range r base =
     let lo = base + svarint r in
     let len = varint r in
-    try Range.of_len lo len with Invalid_argument msg -> fail r msg
+    Range.make lo (hi_of_len r lo len)
 end

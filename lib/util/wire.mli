@@ -129,4 +129,9 @@ module Reader : sig
   val range : t -> int -> Range.t
   (** [range r base]: the inverse of {!add_range}; a bad length fails
       with {!Range.of_len}'s message. *)
+
+  val hi_of_len : t -> int -> int -> int
+  (** [hi_of_len r lo len]: {!Range.hi_of_len} failing at the current
+      record — {!range}'s check, for a decoder that reads [lo] and [len]
+      itself and keeps them unboxed. *)
 end

@@ -201,23 +201,20 @@ let test_tracker_untaint_disabled () =
   checkb "untaint when enabled" false
     (Tracker.is_tainted t2 ~pid:1 (r 105 106))
 
-(* Fig. 15 plots tainted bytes over the instruction stream; an explicit
-   untaint (e.g. a scrubbing intrinsic) must show up as a dip in the
-   series, not just in a later event's sample.  untaint_range used to
-   skip the peak/series update, so the dip was invisible until the next
-   observed event — and absent entirely at end of trace. *)
+(* Fig. 15 plots tainted bytes over the instruction stream, sampled
+   from the tracker's live occupancy; an explicit untaint (e.g. a
+   scrubbing intrinsic) must show up there as a dip at once, not at a
+   later event.  untaint_range used to skip the occupancy update, so the
+   dip was invisible until the next observed event — and absent
+   entirely at end of trace. *)
 let test_tracker_untaint_range_records_dip () =
-  let module Series = Pift_util.Series in
   let t = Tracker.create ~policy:(Policy.make ~ni:3 ~nt:2 ()) () in
   Tracker.taint_source t ~pid:1 (r 100 199);
   feed t [ load (r 100 101) 1; store (r 300 303) 2 ];
-  let series = Tracker.tainted_bytes_series t in
-  let before = Option.get (Series.last_value series) in
-  checki "bytes before untaint" 104 before;
+  checki "bytes before untaint" 104 (Tracker.current_tainted_bytes t);
   Tracker.untaint_range t ~pid:1 (r 150 199);
   checkb "range untainted" false (Tracker.is_tainted t ~pid:1 (r 150 199));
-  checki "series records the dip" 54
-    (Option.get (Series.last_value series));
+  checki "occupancy records the dip" 54 (Tracker.current_tainted_bytes t);
   checki "peak survives the dip" 104
     (Tracker.stats t).Tracker.max_tainted_bytes
 

@@ -715,6 +715,37 @@ let test_hw_backed_detection () =
   checkb "drops occurred or still flagged" true
     (st2.Storage.drops > 0 || rep2.Recorded.flagged)
 
+(* Figs. 15 and 16: [Recorded.replay]'s two series for the full LGRoot
+   at two (NI, NT) points, downsampled as the figures are, against
+   golden/fig15_16_lgroot.txt — written when the tracker still kept the
+   series itself, so sampling them in the replay must reproduce every
+   (time, value) point. *)
+let test_series_golden () =
+  let r = Recorded.record Malware.lgroot in
+  let line name ni nt s =
+    String.concat " "
+      (Printf.sprintf "%s %d %d" name ni nt
+      :: List.map
+           (fun (t, v) -> Printf.sprintf "%d:%d" t v)
+           (Pift_util.Series.downsample s 72))
+  in
+  let got =
+    List.concat_map
+      (fun (ni, nt) ->
+        let rp = Recorded.replay ~policy:(Policy.make ~ni ~nt ()) r in
+        [
+          line "bytes" ni nt rp.Recorded.bytes_series;
+          line "ops" ni nt rp.Recorded.ops_series;
+        ])
+      [ (10, 3); (20, 1) ]
+  in
+  let golden =
+    In_channel.with_open_text "golden/fig15_16_lgroot.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  Alcotest.(check (list string)) "series" golden got
+
 let () =
   Alcotest.run "pift_eval"
     [
@@ -737,6 +768,8 @@ let () =
         [
           Alcotest.test_case "regimes" `Slow test_overhead_regimes;
           Alcotest.test_case "series" `Quick test_series_monotonic;
+          Alcotest.test_case "Fig. 15/16 series golden" `Quick
+            test_series_golden;
         ] );
       ( "trace stats",
         [ Alcotest.test_case "fig2 properties" `Quick test_trace_statistics ] );

@@ -252,6 +252,60 @@ let test_sweep_byte_identical () =
   Alcotest.(check string)
     "rendered sweep byte-identical" reference_out flat_out
 
+(* The production store's one-entry pid cache against the bytemap
+   oracle: random ops over three pids, where pid switches, reads of a
+   pid with no set and evictions are all common, with the answers,
+   totals and dump compared after every op.  None of those reads goes
+   through the cache, so the check does not move it. *)
+type pid_op = On of int * Prop.op | Release of int
+
+let pid_op_to_string = function
+  | Release pid -> Printf.sprintf "release %d" pid
+  | On (pid, op) -> Printf.sprintf "pid %d %s" pid (Prop.op_to_string op)
+
+let gen_pid_ops rng =
+  let module Rng = Pift_util.Rng in
+  List.init 200 (fun _ ->
+      if Rng.int rng 12 = 0 then Release (Rng.int rng 3)
+      else On (Rng.int rng 3, Prop.gen_op rng))
+
+let stores_agree ops =
+  let flat = Store.create ()
+  and oracle = Store.create ~backend:Store.Bytemap () in
+  let run (s : Store.t) = function
+    | Release pid ->
+        s.Store.release_pid ~pid;
+        None
+    | On (pid, Prop.Add r) ->
+        s.Store.add ~pid r;
+        None
+    | On (pid, Prop.Remove r) ->
+        s.Store.remove ~pid r;
+        None
+    | On (pid, Prop.Overlaps r) -> Some (s.Store.overlaps ~pid r)
+  in
+  let state (s : Store.t) =
+    (s.Store.tainted_bytes (), s.Store.range_count (), s.Store.dump ())
+  in
+  let rec go i = function
+    | [] -> Ok ()
+    | op :: rest ->
+        let a = run flat op in
+        let b = run oracle op in
+        if a <> b || state flat <> state oracle then
+          Error
+            (Printf.sprintf "op %d (%s): flat store differs from the oracle" i
+               (pid_op_to_string op))
+        else go (i + 1) rest
+  in
+  go 1 ops
+
+let test_store_pid_cache () =
+  Prop.check_gen ~name:"flat store = bytemap store across pids" ~count:60
+    ~gen:gen_pid_ops ~shrink:(fun _ -> [])
+    ~to_string:(fun ops -> String.concat "; " (List.map pid_op_to_string ops))
+    stores_agree
+
 let () =
   Alcotest.run "pift_store"
     [
@@ -272,6 +326,8 @@ let () =
             test_store_read_purity;
           Alcotest.test_case "incremental totals match recounts" `Quick
             test_store_incremental_totals;
+          Alcotest.test_case "pid cache: flat = bytemap across pids" `Quick
+            test_store_pid_cache;
         ] );
       ( "end-to-end",
         [

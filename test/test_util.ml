@@ -139,8 +139,7 @@ let test_series () =
   checkb "empty last" true (Series.last_value s = None);
   Series.record s ~time:1 ~value:10;
   Series.record s ~time:5 ~value:20;
-  Series.record_if_changed s ~time:6 ~value:20;
-  Series.record_if_changed s ~time:7 ~value:30;
+  Series.record s ~time:7 ~value:30;
   checki "length" 3 (Series.length s);
   checkb "last" true (Series.last_value s = Some 30);
   checkb "max" true (Series.max_value s = Some 30);
